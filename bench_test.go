@@ -23,6 +23,17 @@ import (
 	"repro/internal/vlm"
 )
 
+// evaluate runs one model through Runner.EvaluateContext, failing the
+// benchmark on error.
+func evaluate(tb testing.TB, r eval.Runner, m chipvqa.Model, bench *chipvqa.Benchmark) *chipvqa.Report {
+	tb.Helper()
+	rep, err := r.EvaluateContext(context.Background(), m, bench)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
 // E1 — Table I: benchmark statistics.
 func BenchmarkTableI(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
@@ -36,13 +47,13 @@ func BenchmarkTableI(b *testing.B) {
 // E2 — Table II (left): zero-shot Pass@1 with multiple choice.
 func BenchmarkTableIIWithChoice(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	with, _ := suite.TableII()
+	with, _ := tableII(b, suite)
 	b.Logf("\n%s", chipvqa.FormatTableII(with, nil))
 	models := suite.ModelNames()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range models {
-			if _, err := suite.Evaluate(name); err != nil {
+			if _, err := suite.EvaluateContext(context.Background(), name); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +69,7 @@ func BenchmarkTableIISerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range models {
-			if _, err := suite.Evaluate(name); err != nil {
+			if _, err := suite.EvaluateContext(context.Background(), name); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +86,7 @@ func BenchmarkTableIIParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range models {
-			if _, err := suite.Evaluate(name); err != nil {
+			if _, err := suite.EvaluateContext(context.Background(), name); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +100,7 @@ func BenchmarkTableIIGrid(b *testing.B) {
 	suite.Workers = -1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		with, _ := suite.TableII()
+		with, _ := tableII(b, suite)
 		if len(with) != 12 {
 			b.Fatal("short report set")
 		}
@@ -98,7 +109,7 @@ func BenchmarkTableIIGrid(b *testing.B) {
 
 // E2e — the sharded grid sweep behind the bench snapshot's
 // table_ii_grid section: the full (model, question) grid through
-// EvaluateAllInto at fixed worker counts 1/2/4/8, each shard count
+// EvaluateAllContext at fixed worker counts 1/2/4/8, each shard count
 // first proven byte-identical to the workers=1 run via a digest over
 // every model name, question ID, response and verdict. The scaling is
 // recorded by the benchmark numbers but never asserted — on a 1-CPU
@@ -129,8 +140,11 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
-	serial := eval.Runner{Workers: 1}
-	base := digest(serial.EvaluateAll(models, suite.Benchmark))
+	serial, err := eval.Runner{Workers: 1}.EvaluateAllContext(context.Background(), models, suite.Benchmark)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := digest(serial)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			r := eval.Runner{Workers: w}
@@ -144,7 +158,7 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.EvaluateAllInto(context.Background(), models, suite.Benchmark, reports); err != nil {
+				if _, err := r.EvaluateAllContext(context.Background(), models, suite.Benchmark); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,7 +173,7 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 // property as hard test failures.
 func BenchmarkJudgeAll(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	rep, err := suite.Evaluate("GPT4o")
+	rep, err := suite.EvaluateContext(context.Background(), "GPT4o")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,7 +214,7 @@ func BenchmarkTableIINoChoice(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	var reports []*chipvqa.Report
 	for _, name := range suite.ModelNames() {
-		rep, err := suite.EvaluateChallenge(name)
+		rep, err := suite.EvaluateChallengeContext(context.Background(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +224,7 @@ func BenchmarkTableIINoChoice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range suite.ModelNames() {
-			if _, err := suite.EvaluateChallenge(name); err != nil {
+			if _, err := suite.EvaluateChallengeContext(context.Background(), name); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -220,7 +234,7 @@ func BenchmarkTableIINoChoice(b *testing.B) {
 // E4 — Table III: agent system versus direct GPT-4o.
 func BenchmarkTableIII(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	vals, err := suite.TableIII()
+	vals, err := suite.TableIIIContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,7 +242,7 @@ func BenchmarkTableIII(b *testing.B) {
 		vals[0], vals[1], vals[2], vals[3])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := suite.TableIII(); err != nil {
+		if _, err := suite.TableIIIContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,13 +259,13 @@ func BenchmarkResolution(b *testing.B) {
 		func(q *chipvqa.Question) bool { return q.Category == chipvqa.Digital })}
 	for _, f := range []int{1, 8, 16} {
 		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}}
-		b.Logf("downsample %2dx: Pass@1 = %.2f", f, r.Evaluate(m, digital).Pass1())
+		b.Logf("downsample %2dx: Pass@1 = %.2f", f, evaluate(b, r, m, digital).Pass1())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range []int{1, 8, 16} {
 			r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}}
-			r.Evaluate(m, digital)
+			evaluate(b, r, m, digital)
 		}
 	}
 }
@@ -270,7 +284,7 @@ func BenchmarkCoverage(b *testing.B) {
 func BenchmarkBackboneScaling(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	for _, p := range vlm.LLaVAFamily() {
-		rep, err := suite.Evaluate(p.Name)
+		rep, err := suite.EvaluateContext(context.Background(), p.Name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +294,7 @@ func BenchmarkBackboneScaling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range vlm.LLaVAFamily() {
-			if _, err := suite.Evaluate(p.Name); err != nil {
+			if _, err := suite.EvaluateContext(context.Background(), p.Name); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -290,13 +304,13 @@ func BenchmarkBackboneScaling(b *testing.B) {
 // E8 — §IV-A MC-as-RAG effect: per-model gap between collections.
 func BenchmarkChoiceGap(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	with, without := suite.TableII()
+	with, without := tableII(b, suite)
 	for i := range with {
 		b.Logf("%-20s gap=%+.2f", with[i].ModelName, with[i].Pass1()-without[i].Pass1())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, n := suite.TableII()
+		w, n := tableII(b, suite)
 		_ = w[0].Pass1() - n[0].Pass1()
 	}
 }
@@ -309,13 +323,13 @@ func BenchmarkAblationNoGuess(b *testing.B) {
 	mc := &dataset.Benchmark{Name: "mc", Questions: suite.Benchmark.Filter(
 		func(q *chipvqa.Question) bool { return len(q.Choices) == 4 })}
 	r := eval.Runner{}
-	guess := r.Evaluate(guessBaseline{}, mc).Pass1()
-	abstain := r.Evaluate(abstainBaseline{}, mc).Pass1()
+	guess := evaluate(b, r, guessBaseline{}, mc).Pass1()
+	abstain := evaluate(b, r, abstainBaseline{}, mc).Pass1()
 	b.Logf("random guess on MC: %.2f   abstain: %.2f   floor contribution: %.2f",
 		guess, abstain, guess-abstain)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Evaluate(guessBaseline{}, mc)
+		evaluate(b, r, guessBaseline{}, mc)
 	}
 }
 
@@ -353,14 +367,14 @@ func BenchmarkAblationBottleneck(b *testing.B) {
 		r1 := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: 1}}
 		r16 := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: 16}}
 		b.Logf("recall threshold %.1f: pass@1 %.2f at 1x, %.2f at 16x",
-			thr, r1.Evaluate(sim, suite.Benchmark).Pass1(),
-			r16.Evaluate(sim, suite.Benchmark).Pass1())
+			thr, evaluate(b, r1, sim, suite.Benchmark).Pass1(),
+			evaluate(b, r16, sim, suite.Benchmark).Pass1())
 	}
 	sim.SetPerception(vlm.DefaultPerception())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: 16}}
-		r.Evaluate(sim, suite.Benchmark)
+		evaluate(b, r, sim, suite.Benchmark)
 	}
 }
 
@@ -374,11 +388,11 @@ func BenchmarkAblationJudge(b *testing.B) {
 	lenient := eval.Runner{Judge: eval.Judge{}}
 	strict := eval.Runner{Judge: eval.Judge{Strict: true}}
 	b.Logf("hybrid judge: %.2f   strict judge: %.2f",
-		lenient.Evaluate(m, suite.Benchmark).Pass1(),
-		strict.Evaluate(m, suite.Benchmark).Pass1())
+		evaluate(b, lenient, m, suite.Benchmark).Pass1(),
+		evaluate(b, strict, m, suite.Benchmark).Pass1())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		strict.Evaluate(m, suite.Benchmark)
+		evaluate(b, strict, m, suite.Benchmark)
 	}
 }
 
@@ -393,17 +407,17 @@ func BenchmarkAblationAgentFidelity(b *testing.B) {
 	}
 	tool := m.(*vlm.SimulatedVLM)
 	r := eval.Runner{}
-	base := r.Evaluate(tool, suite.Benchmark).Pass1()
+	base := evaluate(b, r, tool, suite.Benchmark).Pass1()
 	for _, boost := range []float64{0, 0.1, 0.21, 0.4} {
 		ag := agent.New(tool)
 		ag.Cfg.DesignerBoostMC = boost
-		rep := r.Evaluate(ag, suite.Benchmark)
+		rep := evaluate(b, r, ag, suite.Benchmark)
 		b.Logf("designer boost %.2f: agent %.2f (GPT4o direct %.2f)", boost, rep.Pass1(), base)
 	}
 	b.ResetTimer()
 	ag := agent.New(tool)
 	for i := 0; i < b.N; i++ {
-		r.Evaluate(ag, suite.Benchmark)
+		evaluate(b, r, ag, suite.Benchmark)
 	}
 }
 
@@ -422,14 +436,14 @@ func BenchmarkExtendedCollection(b *testing.B) {
 	}
 	r := eval.Runner{}
 	b.Logf("extended fold: %d questions, GPT4o Pass@1 = %.2f",
-		ext.Len(), r.Evaluate(m, ext).Pass1())
+		ext.Len(), evaluate(b, r, m, ext).Pass1())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fold, err := suite.Extended("bench-fold", 10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Evaluate(m, fold)
+		evaluate(b, r, m, fold)
 	}
 }
 
@@ -451,13 +465,18 @@ func BenchmarkFineTuneStudy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	curve := vlm.LearningCurve(base, pool, test, []int{0, 10, 30}, vlm.DefaultTraining())
+	curve, err := vlm.LearningCurve(context.Background(), base, pool, test, []int{0, 10, 30}, vlm.DefaultTraining())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, pt := range curve {
 		b.Logf("train %2d/category: held-out Pass@1 = %.3f", pt.TrainPerCategory, pt.Pass1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vlm.LearningCurve(base, pool, test, []int{0, 10, 30}, vlm.DefaultTraining())
+		if _, err := vlm.LearningCurve(context.Background(), base, pool, test, []int{0, 10, 30}, vlm.DefaultTraining()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -465,14 +484,14 @@ func BenchmarkFineTuneStudy(b *testing.B) {
 // McNemar on the Table II leaders.
 func BenchmarkStatisticalComparison(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	res, cis, err := suite.Compare("GPT4o", "LLaMA-3.2-90B")
+	res, cis, err := suite.CompareContext(context.Background(), "GPT4o", "LLaMA-3.2-90B")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Logf("GPT4o %s vs LLaMA-3.2-90B %s; McNemar %s", cis[0], cis[1], res)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := suite.Compare("GPT4o", "LLaMA-3.2-90B"); err != nil {
+		if _, _, err := suite.CompareContext(context.Background(), "GPT4o", "LLaMA-3.2-90B"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -490,7 +509,7 @@ func BenchmarkItemAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reports = append(reports, r.Evaluate(m, suite.Benchmark))
+		reports = append(reports, evaluate(b, r, m, suite.Benchmark))
 	}
 	items, err := eval.ItemAnalysis(reports)
 	if err != nil {
@@ -661,7 +680,7 @@ func BenchmarkResolutionSweepAllModels(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range suite.ModelNames() {
-			if _, err := suite.EvaluateAtResolution(name, 16); err != nil {
+			if _, err := suite.EvaluateAtResolutionContext(context.Background(), name, 16); err != nil {
 				b.Fatal(err)
 			}
 		}

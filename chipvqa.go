@@ -8,7 +8,8 @@
 //
 //	suite, err := chipvqa.NewSuite()
 //	...
-//	report := suite.Evaluate("GPT4o")
+//	report, err := suite.EvaluateContext(context.Background(), "GPT4o")
+//	...
 //	fmt.Printf("GPT-4o Pass@1: %.2f\n", report.Pass1())
 //
 // The full experiment set (every table and figure in the paper) is
@@ -139,37 +140,22 @@ func (s *Suite) Model(name string) (Model, error) {
 	return m, nil
 }
 
-// Evaluate runs one model over the standard collection.
-func (s *Suite) Evaluate(modelName string) (*Report, error) {
-	return s.EvaluateContext(context.Background(), modelName)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation: on cancel
-// it returns the context error together with a partial report holding
-// a consistent prefix of the question order.
+// EvaluateContext runs one model over the standard collection. On
+// cancel it returns the context error together with a partial report
+// holding a consistent prefix of the question order.
 func (s *Suite) EvaluateContext(ctx context.Context, modelName string) (*Report, error) {
 	return s.evaluateOn(ctx, modelName, s.Benchmark, 1)
 }
 
-// EvaluateChallenge runs one model over the challenge collection.
-func (s *Suite) EvaluateChallenge(modelName string) (*Report, error) {
-	return s.EvaluateChallengeContext(context.Background(), modelName)
-}
-
-// EvaluateChallengeContext is EvaluateChallenge with cooperative
-// cancellation (see EvaluateContext for the partial-report contract).
+// EvaluateChallengeContext runs one model over the challenge
+// collection (see EvaluateContext for the partial-report contract).
 func (s *Suite) EvaluateChallengeContext(ctx context.Context, modelName string) (*Report, error) {
 	return s.evaluateOn(ctx, modelName, s.ChallengeSet, 1)
 }
 
-// EvaluateAtResolution runs one model with images downsampled by the
-// given factor (the §IV-B study).
-func (s *Suite) EvaluateAtResolution(modelName string, factor int) (*Report, error) {
-	return s.EvaluateAtResolutionContext(context.Background(), modelName, factor)
-}
-
-// EvaluateAtResolutionContext is EvaluateAtResolution with cooperative
-// cancellation (see EvaluateContext for the partial-report contract).
+// EvaluateAtResolutionContext runs one model with images downsampled
+// by the given factor — the §IV-B study (see EvaluateContext for the
+// partial-report contract).
 func (s *Suite) EvaluateAtResolutionContext(ctx context.Context, modelName string, factor int) (*Report, error) {
 	return s.evaluateOn(ctx, modelName, s.Benchmark, factor)
 }
@@ -196,16 +182,9 @@ func (s *Suite) evaluateOn(ctx context.Context, modelName string, b *Benchmark, 
 	return r.EvaluateContext(ctx, m, b)
 }
 
-// TableII runs every model over both collections and returns the two
-// report sets in Table II row order. Each collection's 12x142
-// (model, question) grid is evaluated on the worker pool.
-func (s *Suite) TableII() (withChoice, noChoice []*Report) {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
-	withChoice, noChoice, _ = s.TableIIContext(context.Background())
-	return withChoice, noChoice
-}
-
-// TableIIContext is TableII with cooperative cancellation. On cancel
+// TableIIContext runs every model over both collections and returns
+// the two report sets in Table II row order. Each collection's 12x142
+// (model, question) grid is evaluated on the worker pool. On cancel
 // the returned error is the context error and the report sets hold
 // consistent prefixes of the two runs (the with-choice grid runs
 // first, so a cancelled sweep may have a partial with-choice set and
@@ -217,7 +196,7 @@ func (s *Suite) TableIIContext(ctx context.Context) (withChoice, noChoice []*Rep
 	if err != nil {
 		// The second sweep runs on the already-dead ctx purely to shape
 		// empty reports; its error is the same context error we return.
-		//lint:ignore errdrop the first sweep's context error is already being returned
+		//lint:ignore errdrop same cancelled ctx, so this error is nil or the context error already returned
 		noChoice, _ = r.EvaluateAllContext(ctx, models, s.ChallengeSet)
 		return withChoice, noChoice, err
 	}
@@ -240,17 +219,11 @@ func (s *Suite) NewAgent(toolName string) (Model, error) {
 	return agent.New(tool), nil
 }
 
-// TableIII runs the agent study: GPT-4o direct versus the agent, on both
-// collections, returning the four Pass@1 values in the paper's order
-// (with-choice GPT4o, with-choice agent, no-choice GPT4o, no-choice
-// agent).
-func (s *Suite) TableIII() ([4]float64, error) {
-	return s.TableIIIContext(context.Background())
-}
-
-// TableIIIContext is TableIII with cooperative cancellation; a
-// cancelled run returns the context error (partial Pass@1 values would
-// be misleading, so none are computed).
+// TableIIIContext runs the agent study: GPT-4o direct versus the
+// agent, on both collections, returning the four Pass@1 values in the
+// paper's order (with-choice GPT4o, with-choice agent, no-choice GPT4o,
+// no-choice agent). A cancelled run returns the context error (partial
+// Pass@1 values would be misleading, so none are computed).
 func (s *Suite) TableIIIContext(ctx context.Context) ([4]float64, error) {
 	gpt4o, err := s.Model("GPT4o")
 	if err != nil {
@@ -335,20 +308,15 @@ func (s *Suite) AdaptiveCalibrate(ctx context.Context, seed string, perCategory 
 	return adaptive.NewCalibration(ctx, r, s.zoo.EvalModels(), fold)
 }
 
-// Adaptive runs the IRT adaptive evaluation (ROADMAP item 5) over an
-// extended fold: calibrate a 2PL item bank from the full-grid reference
-// run, then tournament every zoo model through information-maximising
-// item selection with early stopping. The result reports how many
-// questions the adaptive run needed, each model's ability estimate and
-// stop reason, and the rank agreement against the full-grid ranking.
-// The whole run is bit-reproducible given cfg.Seed.
-func (s *Suite) Adaptive(seed string, perCategory int, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	return s.AdaptiveContext(context.Background(), seed, perCategory, cfg)
-}
-
-// AdaptiveContext is Adaptive with cooperative cancellation: on cancel
-// the context error comes back alongside a result holding the
-// deterministic delivered prefix of the tournament transcript. The
+// AdaptiveContext runs the IRT adaptive evaluation over an extended
+// fold: calibrate a 2PL item bank from the full-grid reference run,
+// then tournament every zoo model through information-maximising item
+// selection with early stopping. The result reports how many questions
+// the adaptive run needed, each model's ability estimate and stop
+// reason, and the rank agreement against the full-grid ranking. The
+// whole run is bit-reproducible given cfg.Seed. On cancel the context
+// error comes back alongside a result holding the deterministic
+// delivered prefix of the tournament transcript. The
 // suite observer sees every tournament event — annotated with ability,
 // standard error and stop reason — in canonical order.
 func (s *Suite) AdaptiveContext(ctx context.Context, seed string, perCategory int, cfg AdaptiveConfig) (*AdaptiveResult, error) {
@@ -359,15 +327,10 @@ func (s *Suite) AdaptiveContext(ctx context.Context, seed string, perCategory in
 	return cal.Run(ctx, s.runner(eval.InferenceOptions{}), s.zoo.EvalModels(), cfg)
 }
 
-// Compare runs the paired McNemar test between two models on the
-// standard collection, plus a bootstrap confidence interval for each.
-func (s *Suite) Compare(modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
-	return s.CompareContext(context.Background(), modelA, modelB)
-}
-
-// CompareContext is Compare with cooperative cancellation: on cancel
-// the context error comes back and no partial statistics are computed
-// (the paired test needs both full runs).
+// CompareContext runs the paired McNemar test between two models on
+// the standard collection, plus a bootstrap confidence interval for
+// each. On cancel the context error comes back and no partial
+// statistics are computed (the paired test needs both full runs).
 func (s *Suite) CompareContext(ctx context.Context, modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
 	var cis [2]eval.ConfidenceInterval
 	ra, err := s.EvaluateContext(ctx, modelA)

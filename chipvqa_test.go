@@ -2,6 +2,7 @@ package chipvqa_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,16 @@ import (
 	chipvqa "repro"
 	"repro/internal/dataset"
 )
+
+// tableII runs Suite.TableIIContext, failing the test on error.
+func tableII(tb testing.TB, s *chipvqa.Suite) (with, without []*chipvqa.Report) {
+	tb.Helper()
+	with, without, err := s.TableIIContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return with, without
+}
 
 func TestSuiteEndToEnd(t *testing.T) {
 	suite, err := chipvqa.NewSuite()
@@ -25,7 +36,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 	if _, err := suite.Model("not-a-model"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	rep, err := suite.Evaluate("GPT4o")
+	rep, err := suite.EvaluateContext(context.Background(), "GPT4o")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +47,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 
 func TestSuiteTableII(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	with, without := suite.TableII()
+	with, without := tableII(t, suite)
 	if len(with) != 12 || len(without) != 12 {
 		t.Fatalf("report counts %d/%d", len(with), len(without))
 	}
@@ -61,7 +72,7 @@ func TestSuiteTableII(t *testing.T) {
 
 func TestSuiteTableIII(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	vals, err := suite.TableIII()
+	vals, err := suite.TableIIIContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +87,11 @@ func TestSuiteTableIII(t *testing.T) {
 
 func TestSuiteResolution(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	full, err := suite.EvaluateAtResolution("GPT4o", 1)
+	full, err := suite.EvaluateAtResolutionContext(context.Background(), "GPT4o", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := suite.EvaluateAtResolution("GPT4o", 16)
+	small, err := suite.EvaluateAtResolutionContext(context.Background(), "GPT4o", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +110,8 @@ func TestTableIIDeterministicAcrossWorkers(t *testing.T) {
 	parallel := chipvqa.MustNewSuite()
 	parallel.Workers = 8
 
-	sWith, sWithout := serial.TableII()
-	pWith, pWithout := parallel.TableII()
+	sWith, sWithout := tableII(t, serial)
+	pWith, pWithout := tableII(t, parallel)
 	compare := func(kind string, a, b []*chipvqa.Report) {
 		t.Helper()
 		if len(a) != 12 || len(b) != 12 {
@@ -133,11 +144,11 @@ func TestResolutionDeterministicAcrossWorkers(t *testing.T) {
 	serial.Workers = 1
 	parallel := chipvqa.MustNewSuite()
 	parallel.Workers = 8
-	a, err := serial.EvaluateAtResolution("GPT4o", 16)
+	a, err := serial.EvaluateAtResolutionContext(context.Background(), "GPT4o", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.EvaluateAtResolution("GPT4o", 16)
+	b, err := parallel.EvaluateAtResolutionContext(context.Background(), "GPT4o", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +272,7 @@ func TestJudgeExposed(t *testing.T) {
 
 func TestSuiteChallengeAndExtendedFacade(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	rep, err := suite.EvaluateChallenge("GPT4o")
+	rep, err := suite.EvaluateChallengeContext(context.Background(), "GPT4o")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestSuiteChallengeAndExtendedFacade(t *testing.T) {
 
 func TestSuiteCompareFacade(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	res, cis, err := suite.Compare("GPT4o", "kosmos-2")
+	res, cis, err := suite.CompareContext(context.Background(), "GPT4o", "kosmos-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +303,10 @@ func TestSuiteCompareFacade(t *testing.T) {
 	if cis[0].Point <= cis[1].Point {
 		t.Errorf("CI points ordered wrong: %v vs %v", cis[0], cis[1])
 	}
-	if _, _, err := suite.Compare("ghost", "GPT4o"); err == nil {
+	if _, _, err := suite.CompareContext(context.Background(), "ghost", "GPT4o"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, _, err := suite.Compare("GPT4o", "ghost"); err == nil {
+	if _, _, err := suite.CompareContext(context.Background(), "GPT4o", "ghost"); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

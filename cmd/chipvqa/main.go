@@ -724,12 +724,10 @@ func cmdFineTune(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("domain-adaptation study: base=%s, train pool=%d, held-out test=%d\n",
 		*model, pool.Len(), test.Len())
-	// The learning-curve sweep evaluates five adapted models; bail out
-	// before it rather than after an interrupt has been ignored.
-	if err := ctx.Err(); err != nil {
+	curve, err := vlm.LearningCurve(ctx, sim, pool, test, []int{0, 5, 10, 20, 30}, vlm.DefaultTraining())
+	if err != nil {
 		return err
 	}
-	curve := vlm.LearningCurve(sim, pool, test, []int{0, 5, 10, 20, 30}, vlm.DefaultTraining())
 	for _, pt := range curve {
 		fmt.Printf("  train %2d/category: held-out Pass@1 = %.3f\n", pt.TrainPerCategory, pt.Pass1)
 	}
@@ -912,7 +910,7 @@ type benchSnapshot struct {
 	TableIISpeedup             float64 `json:"table_ii_speedup"`
 
 	// Sharded grid sweep: the full (model, question) grid through
-	// EvaluateAllInto at fixed worker counts. The digest of every
+	// EvaluateAllContext at fixed worker counts. The digest of every
 	// sharded run is asserted byte-identical to the workers=1 run
 	// before timing; the scaling is recorded but not asserted (a 1-CPU
 	// host legitimately shows none).
@@ -1027,7 +1025,7 @@ func cmdBench(ctx context.Context, args []string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, name := range names {
-					if _, err := suite.Evaluate(name); err != nil {
+					if _, err := suite.EvaluateContext(ctx, name); err != nil {
 						panic(err)
 					}
 				}
@@ -1047,14 +1045,14 @@ func cmdBench(ctx context.Context, args []string) error {
 	suite.Workers = -1
 	chipvqa.ResetRenderCache()
 	start := now()
-	if _, err := suite.EvaluateAtResolution("GPT4o", 16); err != nil {
+	if _, err := suite.EvaluateAtResolutionContext(ctx, "GPT4o", 16); err != nil {
 		return err
 	}
 	cold := now().Sub(start)
 	res16 := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := suite.EvaluateAtResolution("GPT4o", 16); err != nil {
+			if _, err := suite.EvaluateAtResolutionContext(ctx, "GPT4o", 16); err != nil {
 				panic(err)
 			}
 		}
@@ -1085,7 +1083,7 @@ func cmdBench(ctx context.Context, args []string) error {
 			}
 		}
 	})
-	rep, err := suite.Evaluate("GPT4o")
+	rep, err := suite.EvaluateContext(ctx, "GPT4o")
 	if err != nil {
 		return err
 	}
@@ -1160,7 +1158,7 @@ func cmdBench(ctx context.Context, args []string) error {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := r.EvaluateAllInto(ctx, models, suite.Benchmark, reports); err != nil {
+				if _, err := r.EvaluateAllContext(ctx, models, suite.Benchmark); err != nil {
 					panic(err)
 				}
 			}
@@ -1201,9 +1199,10 @@ func cmdBench(ctx context.Context, args []string) error {
 		}
 		r := eval.Runner{Workers: -1, Opts: eval.InferenceOptions{DownsampleFactor: 8}}
 		start := now()
-		reports, err := r.EvaluateShards([]chipvqa.Model{m}, func(yield func(chipvqa.Shard) error) error {
+		reports := []*chipvqa.Report{{}}
+		err = r.EvaluateShardsContext(ctx, []chipvqa.Model{m}, func(yield func(chipvqa.Shard) error) error {
 			return chipvqa.StreamExtended("bench-stream", perCat, 1024, yield)
-		})
+		}, reports)
 		elapsed := now().Sub(start)
 		streamCache = chipvqa.RenderCacheStats()
 		chipvqa.SetRenderCacheBudget(0)

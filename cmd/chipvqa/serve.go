@@ -100,13 +100,37 @@ func loadPackedCollection(path string, shardSize int) (*chipvqa.Benchmark, error
 	return bench, nil
 }
 
+// Connection limits for the daemon's HTTP server. They bound what a
+// slow or hostile client can hold open: request headers must arrive
+// within serveReadHeaderTimeout (a slow-header client is cut off), an
+// idle keep-alive connection closes after serveIdleTimeout, and
+// request headers are capped at serveMaxHeaderBytes. ReadTimeout and
+// WriteTimeout stay unset on purpose: a streamed run's response lives
+// as long as the run.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+	serveMaxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the daemon's handler in the connection limits
+// above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+		MaxHeaderBytes:    serveMaxHeaderBytes,
+	}
+}
+
 // serveHTTP runs the listener until ctx is cancelled, then drains.
 func serveHTTP(ctx context.Context, srv *chipvqa.Server, addr string, drainTimeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Printf("chipvqa serve: listening on http://%s\n", ln.Addr())

@@ -50,6 +50,26 @@ func TestCmdServeUsage(t *testing.T) {
 	}
 }
 
+// TestServeHTTPServerLimits pins the daemon's connection limits: the
+// server serveHTTP listens with must bound header reads, idle
+// keep-alives and header size, and must leave the whole-request read
+// and write deadlines unset so long streamed runs are not cut off.
+func TestServeHTTPServerLimits(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != serveReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, serveReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != serveIdleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, serveIdleTimeout)
+	}
+	if srv.MaxHeaderBytes != serveMaxHeaderBytes || srv.MaxHeaderBytes <= 0 {
+		t.Errorf("MaxHeaderBytes = %d, want %d", srv.MaxHeaderBytes, serveMaxHeaderBytes)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want unset for streamed runs", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}
+
 // TestCmdServeEndToEnd boots the real daemon on a loopback port with a
 // packed extra collection, talks to it over HTTP, then cancels the
 // context and expects a clean drain.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,11 +40,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	runner := eval.Runner{}
 
 	for _, m := range []chipvqa.Model{randomGuesser{}, abstainer{}} {
-		std := runner.Evaluate(m, suite.Benchmark)
-		chal := runner.Evaluate(m, suite.ChallengeSet)
+		std, err := runner.EvaluateContext(ctx, m, suite.Benchmark)
+		if err != nil {
+			log.Fatal(err)
+		}
+		chal, err := runner.EvaluateContext(ctx, m, suite.ChallengeSet)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-14s standard %.2f   challenge %.2f\n",
 			m.Name(), std.Pass1(), chal.Pass1())
 	}
@@ -54,7 +62,10 @@ func main() {
 		return len(q.Choices) == 4
 	})
 	bench := &chipvqa.Benchmark{Name: "mc-only", Questions: mcOnly}
-	rep := runner.Evaluate(randomGuesser{}, bench)
+	rep, err := runner.EvaluateContext(ctx, randomGuesser{}, bench)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrandom guessing on the %d multiple-choice questions: Pass@1 = %.2f\n",
 		len(mcOnly), rep.Pass1())
 	fmt.Println("(the paper's 25% multiple-choice baseline)")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,13 +39,20 @@ func main() {
 	fmt.Printf("training pool: %d questions, held-out test: %d questions\n\n",
 		pool.Len(), test.Len())
 
+	ctx := context.Background()
 	runner := eval.Runner{}
 	fmt.Println("learning curve (LLaVA-7b, simulated domain adaptation):")
 	for _, size := range []int{0, 5, 10, 20, 30} {
-		curve := vlm.LearningCurve(base, pool, test, []int{size}, vlm.DefaultTraining())
+		curve, err := vlm.LearningCurve(ctx, base, pool, test, []int{size}, vlm.DefaultTraining())
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Re-evaluate to get the full report for a CI.
 		tuned := vlm.FineTune(base, subset(pool, size), vlm.DefaultTraining())
-		rep := runner.Evaluate(tuned, test)
+		rep, err := runner.EvaluateContext(ctx, tuned, test)
+		if err != nil {
+			log.Fatal(err)
+		}
 		ci := rep.BootstrapCI(1000, 0.95)
 		fmt.Printf("  %2d train/category: held-out Pass@1 %s\n", curve[0].TrainPerCategory, ci)
 	}
@@ -53,7 +61,7 @@ func main() {
 	fmt.Println("exceed the backbone's headroom — a low-cost tuned open model")
 	fmt.Println("narrows, but does not close, the gap to GPT-4o.")
 
-	gpt4o, err := suite.Evaluate("GPT4o")
+	gpt4o, err := suite.EvaluateContext(ctx, "GPT4o")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	with, without := suite.TableII()
+	with, without, err := suite.TableIIContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("TABLE II  Zero-Shot Evaluation on ChipVQA")
 	fmt.Print(chipvqa.FormatTableII(with, without))
 

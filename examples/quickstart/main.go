@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,8 @@ func main() {
 	fmt.Printf("ChipVQA: %d questions across %d disciplines\n\n",
 		suite.Benchmark.Len(), dataset.NumCategories)
 
-	report, err := suite.Evaluate("GPT4o")
+	ctx := context.Background()
+	report, err := suite.EvaluateContext(ctx, "GPT4o")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func main() {
 	}
 	fmt.Printf("  %-16s Pass@1 = %.2f\n", "overall", report.Pass1())
 
-	chal, err := suite.EvaluateChallenge("GPT4o")
+	chal, err := suite.EvaluateChallengeContext(ctx, "GPT4o")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"image/png"
 	"log"
@@ -54,7 +55,10 @@ func main() {
 	fmt.Println("\nGPT-4o on the Digital category:")
 	for _, f := range []int{1, 8, 16} {
 		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}}
-		rep := r.Evaluate(m, digital)
+		rep, err := r.EvaluateContext(context.Background(), m, digital)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %2dx downsampled: Pass@1 = %.2f\n", f, rep.Pass1())
 	}
 	fmt.Println("\n8x downsampling preserves the pass rate; 16x drops it —")

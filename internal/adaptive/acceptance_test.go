@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,7 +25,7 @@ func TestAdaptiveReproducesFullGridRanking(t *testing.T) {
 	}
 	models := vlm.NewZoo(std).EvalModels()
 	r := eval.Runner{Workers: -1}
-	reports, err := r.EvaluateAll(models, fold), error(nil)
+	reports, err := r.EvaluateAllContext(context.Background(), models, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestAdaptiveReproducesFullGridRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.EvaluateAdaptive(models, trn); err != nil {
+	if _, err := r.EvaluateAdaptiveContext(context.Background(), models, trn); err != nil {
 		t.Fatal(err)
 	}
 	asked := trn.QuestionsAsked()

@@ -107,9 +107,10 @@ type seat struct {
 }
 
 // Tournament runs an adaptive evaluation over a calibrated item bank:
-// it implements eval.ItemScheduler, so eval.EvaluateAdaptive plugs it
-// straight into the staged pipeline. Each model's question chain is
-// sequential (the next item depends on the model's own judged history),
+// it implements eval.ItemScheduler, so
+// eval.Runner.EvaluateAdaptiveContext plugs it straight into the
+// evaluation pipeline. Each model's question chain is sequential (the
+// next item depends on the model's own judged history),
 // and distinct models' chains interleave freely — the pipeline
 // parallelises across models while the reorder buffer keeps the global
 // event order canonical.

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -30,10 +31,10 @@ func setup(t *testing.T) (*dataset.Benchmark, *dataset.Benchmark, *Agent, *vlm.S
 func TestTableIII(t *testing.T) {
 	b, chal, ag, tool := setup(t)
 	r := eval.Runner{}
-	baseStd := r.Evaluate(tool, b).Pass1()
-	agentStd := r.Evaluate(ag, b).Pass1()
-	baseChal := r.Evaluate(tool, chal).Pass1()
-	agentChal := r.Evaluate(ag, chal).Pass1()
+	baseStd := evaluate(t, r, tool, b).Pass1()
+	agentStd := evaluate(t, r, ag, b).Pass1()
+	baseChal := evaluate(t, r, tool, chal).Pass1()
+	agentChal := evaluate(t, r, ag, chal).Pass1()
 
 	if math.Abs(agentStd-0.49) > 0.02 {
 		t.Errorf("agent with-choice %.3f, paper reports 0.49", agentStd)
@@ -54,8 +55,8 @@ func TestManufactureRegression(t *testing.T) {
 	// particularly in the manufacturing category".
 	_, chal, ag, tool := setup(t)
 	r := eval.Runner{}
-	baseChal := r.Evaluate(tool, chal).Pass1ByCategory()[dataset.Manufacture]
-	agentChal := r.Evaluate(ag, chal).Pass1ByCategory()[dataset.Manufacture]
+	baseChal := evaluate(t, r, tool, chal).Pass1ByCategory()[dataset.Manufacture]
+	agentChal := evaluate(t, r, ag, chal).Pass1ByCategory()[dataset.Manufacture]
 	if agentChal >= baseChal {
 		t.Errorf("agent manufacture (no-choice) %.3f did not regress vs %.3f", agentChal, baseChal)
 	}
@@ -125,9 +126,20 @@ func TestZeroBoostOnlyLoses(t *testing.T) {
 	ag.Cfg.DesignerBoostMC = 0
 	ag.Cfg.DesignerBoostSA = 0
 	r := eval.Runner{}
-	base := r.Evaluate(tool, b).Pass1()
-	got := r.Evaluate(ag, b).Pass1()
+	base := evaluate(t, r, tool, b).Pass1()
+	got := evaluate(t, r, ag, b).Pass1()
 	if got > base {
 		t.Errorf("zero-boost agent %.3f beat its own tool %.3f", got, base)
 	}
+}
+
+// evaluate runs one model through Runner.EvaluateContext, failing the
+// test on error.
+func evaluate(t testing.TB, r eval.Runner, m eval.Model, b *dataset.Benchmark) *eval.Report {
+	t.Helper()
+	rep, err := r.EvaluateContext(context.Background(), m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -47,14 +48,19 @@ func streamEvalEnvelope(t *testing.T, seed string, perCategory, shardSize int, b
 	models := vlm.NewZoo(mono).EvalModels()[:1]
 	r := eval.Runner{Workers: 4, Opts: eval.InferenceOptions{DownsampleFactor: 8}}
 
-	monoJSON := evalReportsJSON(t, r.EvaluateAll(models, mono))
+	monoReports, err := r.EvaluateAllContext(context.Background(), models, mono)
+	if err != nil {
+		t.Fatalf("EvaluateAllContext: %v", err)
+	}
+	monoJSON := evalReportsJSON(t, monoReports)
 	visual.Default.Reset() // isolate the streaming pass's cache pressure
 
-	streamed, err := r.EvaluateShards(models, func(yield func(dataset.Shard) error) error {
+	streamed := []*eval.Report{{}}
+	err = r.EvaluateShardsContext(context.Background(), models, func(yield func(dataset.Shard) error) error {
 		return StreamExtended(seed, perCategory, shardSize, yield)
-	})
+	}, streamed)
 	if err != nil {
-		t.Fatalf("EvaluateShards: %v", err)
+		t.Fatalf("EvaluateShardsContext: %v", err)
 	}
 	if got := evalReportsJSON(t, streamed); string(got) != string(monoJSON) {
 		t.Error("streaming reports differ from monolithic evaluation")

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -274,18 +275,40 @@ func testBenchmark(n int) *dataset.Benchmark {
 	return b
 }
 
+// evaluate runs one model through EvaluateContext, failing the test on
+// error.
+func evaluate(t testing.TB, r Runner, m Model, b *dataset.Benchmark) *Report {
+	t.Helper()
+	rep, err := r.EvaluateContext(context.Background(), m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// evaluateAll runs a grid through EvaluateAllContext, failing the test
+// on error.
+func evaluateAll(t testing.TB, r Runner, models []Model, b *dataset.Benchmark) []*Report {
+	t.Helper()
+	reps, err := r.EvaluateAllContext(context.Background(), models, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps
+}
+
 func TestRunnerPass1(t *testing.T) {
 	b := testBenchmark(10)
 	always := fixedModel{"always", func(q *dataset.Question) string { return "c" }}
 	never := fixedModel{"never", func(q *dataset.Question) string { return "a" }}
 	r := Runner{}
-	if p := r.Evaluate(always, b).Pass1(); p != 1 {
+	if p := evaluate(t, r, always, b).Pass1(); p != 1 {
 		t.Errorf("always-right pass@1 %v", p)
 	}
-	if p := r.Evaluate(never, b).Pass1(); p != 0 {
+	if p := evaluate(t, r, never, b).Pass1(); p != 0 {
 		t.Errorf("always-wrong pass@1 %v", p)
 	}
-	rep := r.Evaluate(always, b)
+	rep := evaluate(t, r, always, b)
 	by := rep.Pass1ByCategory()
 	for c, v := range by {
 		if v != 1 {
@@ -305,8 +328,8 @@ func TestRunnerConcurrentMatchesSerial(t *testing.T) {
 		}
 		return "a"
 	}}
-	serial := Runner{Workers: 1}.Evaluate(m, b)
-	parallel := Runner{Workers: 8}.Evaluate(m, b)
+	serial := evaluate(t, Runner{Workers: 1}, m, b)
+	parallel := evaluate(t, Runner{Workers: 8}, m, b)
 	if serial.Pass1() != parallel.Pass1() {
 		t.Errorf("serial %v != parallel %v", serial.Pass1(), parallel.Pass1())
 	}
@@ -320,7 +343,7 @@ func TestRunnerConcurrentMatchesSerial(t *testing.T) {
 func TestFormatTableII(t *testing.T) {
 	b := testBenchmark(10)
 	r := Runner{}
-	rep := r.Evaluate(fixedModel{"m1", func(*dataset.Question) string { return "c" }}, b)
+	rep := evaluate(t, r, fixedModel{"m1", func(*dataset.Question) string { return "c" }}, b)
 	out := FormatTableII([]*Report{rep}, []*Report{rep})
 	if out == "" {
 		t.Fatal("empty table")
@@ -344,7 +367,7 @@ func TestEvaluateAll(t *testing.T) {
 		fixedModel{"m1", func(*dataset.Question) string { return "c" }},
 		fixedModel{"m2", func(*dataset.Question) string { return "a" }},
 	}
-	reps := Runner{}.EvaluateAll(models, b)
+	reps := evaluateAll(t, Runner{}, models, b)
 	if len(reps) != 2 || reps[0].ModelName != "m1" || reps[1].ModelName != "m2" {
 		t.Fatalf("reports %v", reps)
 	}

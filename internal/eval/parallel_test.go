@@ -59,8 +59,8 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 			return "b"
 		}},
 	}
-	serial := Runner{Workers: 1}.EvaluateAll(models, b)
-	parallel := Runner{Workers: 8}.EvaluateAll(models, b)
+	serial := evaluateAll(t, Runner{Workers: 1}, models, b)
+	parallel := evaluateAll(t, Runner{Workers: 8}, models, b)
 	if len(serial) != len(parallel) {
 		t.Fatalf("report counts %d vs %d", len(serial), len(parallel))
 	}
@@ -79,7 +79,7 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 
 func TestEvaluateAllEmptyBenchmark(t *testing.T) {
 	b := testBenchmark(0)
-	reps := Runner{Workers: -1}.EvaluateAll([]Model{
+	reps := evaluateAll(t, Runner{Workers: -1}, []Model{
 		fixedModel{"m", func(*dataset.Question) string { return "" }},
 	}, b)
 	if len(reps) != 1 || len(reps[0].Results) != 0 {

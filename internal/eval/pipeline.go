@@ -3,80 +3,48 @@ package eval
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/dataset"
 )
 
-// This file decomposes the evaluation path into an explicit staged
-// pipeline: a Source yields per-question Events in a canonical order,
-// an Inference stage fills in the model response, a JudgeStage scores
-// it, and a Sink consumes completed events strictly in Seq order. An
-// optional Observer sees every event right after the sink — in the
-// same deterministic order — which is the hook point for metrics,
-// tracing and progress reporting. Runner composes these stages; the
-// composed pipeline is byte-identical to the old monolithic loop while
-// adding context cancellation with graceful partial results.
+// This file is the evaluation path every Runner entry point shares: an
+// ItemScheduler (scheduler.go) hands out per-question Events, a worker
+// pool asks each event's model for a response and judges it, and a
+// reorder buffer delivers completed events to a sink strictly in Seq
+// order. An optional Observer sees every event right after the sink —
+// in the same deterministic order — which is the hook point for
+// metrics, tracing and progress reporting.
 
 // Event is the per-question unit of work flowing through the pipeline.
-// The Source seeds Seq, Model and Question; Inference fills Response;
-// JudgeStage fills Correct; the delivery layer stamps At just before
-// the Sink and Observer see the event.
+// The scheduler seeds Seq, Model and Question; the worker fills
+// Response and Correct; the scheduler may annotate the adaptive fields
+// when it records the outcome.
 type Event struct {
 	// Seq is the event's position in the run's canonical order: the
-	// question index for single-model runs, the flattened model-major
-	// (model, question) task index for grid runs.
+	// flattened model-major (model, question) task index for static
+	// runs (the question index when there is one model), the issue
+	// order for adaptive runs.
 	Seq      int
 	Model    Model
 	Question *dataset.Question
 	Response string
 	Correct  bool
-	// At is the delivery timestamp from the pipeline clock seam. It is
-	// observability-only: reports never contain it, so runs stay
-	// byte-identical regardless of wall-clock behaviour.
-	At time.Time
 	// Adaptive marks events annotated by an adaptive ItemScheduler:
 	// Ability/AbilitySE carry the model's posterior ability estimate
 	// after this outcome, and StopReason is non-empty on the model's
 	// final event ("separated", "precise", "budget", "exhausted").
-	// Static sources leave all four zero; reports never contain them,
-	// so the byte-identity guarantees are untouched.
+	// Static runs leave all four zero; reports never contain them, so
+	// the byte-identity guarantees are untouched.
 	Adaptive   bool
 	Ability    float64
 	AbilitySE  float64
 	StopReason string
-	// scratch is the executing worker's judge Scratch, set by Run for the
-	// Infer/Judge stages and cleared before delivery. It is owned by
-	// exactly one worker goroutine (poolown discipline) and must never
-	// escape into a delivered event.
-	scratch *Scratch
 }
 
-// Source yields a statically known task list in canonical order.
-// Event(i) must be a pure function of i so any worker may materialise
-// any task. A Source is the degenerate, feedback-free case of the
-// ItemScheduler seam (scheduler.go): the pipeline wraps it in a trivial
-// scheduler and the resulting run is byte-identical to the pre-seam
-// indexed loop.
-type Source interface {
-	Len() int
-	Event(i int) Event
-}
-
-// Inference fills Event.Response from the event's model and question.
-type Inference interface {
-	Infer(ctx context.Context, ev *Event)
-}
-
-// JudgeStage fills Event.Correct from the question and response.
-type JudgeStage interface {
-	Judge(ctx context.Context, ev *Event)
-}
-
-// Sink consumes completed events. The pipeline calls Consume strictly
+// sink consumes completed events. The pipeline calls Consume strictly
 // in Seq order from one goroutine at a time, so sinks need no locking
 // of their own.
-type Sink interface {
+type sink interface {
 	Consume(ev Event)
 }
 
@@ -95,75 +63,42 @@ type ObserverFunc func(ev Event)
 // Observe calls f.
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
-// Pipeline wires the four stages plus the optional observer. Workers
-// has the Runner.EffectiveWorkers convention already applied: <= 1
-// runs serially, larger values size the pool. Exactly one of Scheduler
-// and Source drives the run; when both are set, Scheduler wins.
-type Pipeline struct {
-	// Scheduler is the dynamic task source (scheduler.go). Nil means
-	// wrap Source in the trivial static scheduler.
-	Scheduler ItemScheduler
-	Source    Source
-	Infer     Inference
-	Judge     JudgeStage
-	Sink      Sink
-	Observer  Observer
-	Workers   int
-	// Clock stamps Event.At at delivery; nil uses the package clock
-	// seam (clock.go). Tests pin it for reproducible timestamps.
-	Clock func() time.Time
-}
-
-// Run executes the pipeline until the scheduler drains or ctx is
-// cancelled, returning ctx.Err(). Workers pull tasks cooperatively:
-// cancellation is checked between questions (a question in flight
-// finishes), and the in-order delivery gate re-checks the context
-// before every emit, so after cancel the sink holds a consistent
-// prefix of the canonical order — a graceful partial report — and
-// every delivered result is byte-identical to the full run's.
+// run executes one evaluation until sched drains or ctx is cancelled,
+// returning ctx.Err(). Workers pull tasks cooperatively: cancellation
+// is checked between questions (a question in flight finishes), and
+// the in-order delivery gate re-checks the context before every emit,
+// so after cancel snk holds a consistent prefix of the canonical order
+// — a graceful partial report — and every delivered result is
+// byte-identical to the full run's.
 //
 // Judged outcomes feed back into the scheduler from inside the reorder
 // buffer, strictly in Seq order, before the sink sees them — the
 // Judge→Scheduler back-edge that makes adaptive runs deterministic: the
 // scheduler's state evolves along the canonical event order no matter
 // how many workers race ahead of it.
-func (p *Pipeline) Run(ctx context.Context) error {
+func (r Runner) run(ctx context.Context, sched ItemScheduler, snk sink) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	clock := p.Clock
-	if clock == nil {
-		clock = now
-	}
-	sched := p.Scheduler
-	if sched == nil {
-		sched = newSourceScheduler(p.Source)
 	}
 	gate := newSchedGate()
 	d := &delivery{
 		pending: make(map[int]Event),
-		sink:    p.Sink,
-		obs:     p.Observer,
-		clock:   clock,
+		sink:    snk,
+		obs:     r.Observer,
 		sched:   sched,
 		gate:    gate,
 	}
-	nw := p.Workers
+	nw := r.EffectiveWorkers()
 	if s, ok := sched.(schedulerSize); ok && nw > s.SizeHint() {
 		nw = s.SizeHint()
 	}
-	if nw < 1 {
-		nw = 1
-	}
-	// One Scratch per worker slot, checked out for the whole run: each
-	// slot belongs to exactly one goroutine, so the buffers are reused
-	// across every event that worker judges without locking or
-	// per-event pool traffic.
-	scratches := make([]*Scratch, nw)
-	for i := range scratches {
-		scratches[i] = getScratch()
-	}
-	work := func(w int) {
+	work := func() {
+		// The worker's judge Scratch, checked out for the whole run and
+		// owned by this goroutine alone, so the buffers are reused
+		// across every event it judges without locking or per-event
+		// pool traffic.
+		sc := getScratch()
+		defer putScratch(sc)
 		for ctx.Err() == nil {
 			ev, st := sched.Next()
 			if st == ScheduleWait {
@@ -183,29 +118,24 @@ func (p *Pipeline) Run(ctx context.Context) error {
 			if st == ScheduleDone {
 				return
 			}
-			ev.scratch = scratches[w]
-			p.Infer.Infer(ctx, &ev)
-			p.Judge.Judge(ctx, &ev)
-			ev.scratch = nil
+			ev.Response = ev.Model.Answer(ev.Question, r.Opts)
+			ev.Correct = r.Judge.CorrectWith(ev.Question, ev.Response, sc)
 			d.deliver(ctx, ev)
 		}
 	}
-	if nw == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			go func() {
-				defer wg.Done()
-				work(w)
-			}()
-		}
-		wg.Wait()
+	if nw <= 1 {
+		work()
+		return ctx.Err()
 	}
-	for _, sc := range scratches {
-		putScratch(sc)
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for w := 0; w < nw; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	wg.Wait()
 	return ctx.Err()
 }
 
@@ -219,9 +149,8 @@ type delivery struct {
 	next    int           // lowest Seq not yet emitted
 	pending map[int]Event // completed events waiting for their turn
 	stopped bool          // context cancelled; drop instead of emit
-	sink    Sink
+	sink    sink
 	obs     Observer
-	clock   func() time.Time
 	sched   ItemScheduler
 	gate    *schedGate
 }
@@ -256,65 +185,11 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 		// Seq order — and may annotate the event (ability, stop reason)
 		// before the sink and observer see it.
 		d.sched.Record(&nxt)
-		nxt.At = d.clock()
-		if d.sink != nil {
-			d.sink.Consume(nxt)
-		}
+		d.sink.Consume(nxt)
 		if d.obs != nil {
 			d.obs.Observe(nxt)
 		}
 	}
-}
-
-// --- Concrete stages used by Runner ------------------------------------
-
-// benchmarkSource streams one model over a question list; Seq is the
-// question index.
-type benchmarkSource struct {
-	model     Model
-	questions []*dataset.Question
-}
-
-func (s benchmarkSource) Len() int { return len(s.questions) }
-
-func (s benchmarkSource) Event(i int) Event {
-	return Event{Seq: i, Model: s.model, Question: s.questions[i]}
-}
-
-// gridSource streams the flattened model-major (model, question) grid,
-// so the worker pool stays busy across model boundaries — a cheap
-// model finishing early does not idle its workers while an expensive
-// one lags.
-type gridSource struct {
-	models    []Model
-	questions []*dataset.Question
-}
-
-func (s gridSource) Len() int { return len(s.models) * len(s.questions) }
-
-func (s gridSource) Event(t int) Event {
-	nq := len(s.questions)
-	return Event{Seq: t, Model: s.models[t/nq], Question: s.questions[t%nq]}
-}
-
-// modelInference asks the event's model for an answer.
-type modelInference struct {
-	opts InferenceOptions
-}
-
-func (st modelInference) Infer(_ context.Context, ev *Event) {
-	ev.Response = ev.Model.Answer(ev.Question, st.opts)
-}
-
-// judgeStage scores the response with the equivalence judge, reusing
-// the executing worker's Scratch so the steady-state judge path does
-// not allocate.
-type judgeStage struct {
-	judge Judge
-}
-
-func (st judgeStage) Judge(_ context.Context, ev *Event) {
-	ev.Correct = st.judge.CorrectWith(ev.Question, ev.Response, ev.scratch)
 }
 
 // reportSink appends each event to its model's report. Events arrive

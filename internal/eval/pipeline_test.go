@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 )
@@ -32,7 +31,7 @@ func TestPipelineMatchesMonolith(t *testing.T) {
 		return out
 	}()
 	for _, workers := range []int{0, 1, 8} {
-		rep := Runner{Workers: workers}.Evaluate(m, b)
+		rep := evaluate(t, Runner{Workers: workers}, m, b)
 		if len(rep.Results) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(rep.Results), len(want))
 		}
@@ -113,7 +112,7 @@ func TestEvaluateContextCancelPartialReport(t *testing.T) {
 		}
 		return "a"
 	}}
-	full := Runner{Workers: 1}.Evaluate(m, b)
+	full := evaluate(t, Runner{Workers: 1}, m, b)
 	for _, workers := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		r := Runner{Workers: workers, Observer: ObserverFunc(func(ev Event) {
@@ -186,35 +185,6 @@ func TestEvaluateContextAlreadyCancelled(t *testing.T) {
 		}
 		if rep.ModelName != "m" || len(rep.Results) != 0 {
 			t.Fatalf("workers=%d: report %+v, want empty report for model m", workers, rep)
-		}
-	}
-}
-
-// TestObserverTimestampsUseClockSeam pins the observability clock: a
-// pipeline with an injected clock stamps every event from it, so no
-// raw wall-clock read sneaks into the hot path (nodeterm enforces the
-// same property statically).
-func TestObserverTimestampsUseClockSeam(t *testing.T) {
-	b := testBenchmark(6)
-	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
-	fixed := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
-	var stamps []time.Time
-	rep := &Report{ModelName: m.Name()}
-	p := Runner{Workers: 4}.pipeline(
-		benchmarkSource{model: m, questions: b.Questions},
-		&reportSink{nq: b.Len(), reports: []*Report{rep}},
-	)
-	p.Clock = func() time.Time { return fixed }
-	p.Observer = ObserverFunc(func(ev Event) { stamps = append(stamps, ev.At) })
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(stamps) != b.Len() {
-		t.Fatalf("observed %d events, want %d", len(stamps), b.Len())
-	}
-	for i, s := range stamps {
-		if !s.Equal(fixed) {
-			t.Fatalf("event %d stamped %v, want pinned clock %v", i, s, fixed)
 		}
 	}
 }

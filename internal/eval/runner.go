@@ -75,10 +75,12 @@ func (r *Report) Pass1ByCategory() map[dataset.Category]float64 {
 	return out
 }
 
-// Runner evaluates models over a benchmark with a judge. It is a
-// pre-composed instance of the staged pipeline (pipeline.go): a Source
-// streams the questions, Inference and JudgeStage run on the worker
-// pool, and a report sink collects results in canonical order.
+// Runner evaluates models over a benchmark with a judge. Each run
+// shape has one context-first entry point — EvaluateContext,
+// EvaluateAllContext, EvaluateShardsContext, EvaluateAdaptiveContext —
+// and all of them drive the same loop (pipeline.go): an ItemScheduler
+// hands out the tasks, a worker pool answers and judges them, and a
+// sink collects results in canonical order.
 //
 // Workers selects the evaluation engine:
 //
@@ -129,17 +131,6 @@ func (r Runner) EffectiveWorkers() int {
 // claim, an item in flight always completes, and no index is ever
 // claimed twice. fn must be safe to call from multiple goroutines.
 func forEach(ctx context.Context, workers, n int, fn func(int)) {
-	forEachWorker(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// forEachWorker is forEach with the executing worker's pool slot
-// (0..effective workers-1; always 0 on the serial path) passed to fn.
-// The slot index is what per-worker state — the judge's Scratch
-// checkouts in Pipeline.Run — hangs off: a slot is owned by exactly one
-// goroutine for the whole run, so slot-indexed state needs no locking.
-// The slot must not influence results, only where reusable state lives;
-// determinism across worker counts stays with the caller.
-func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -148,7 +139,7 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) 
 			if ctx.Err() != nil {
 				return
 			}
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -163,76 +154,28 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) 
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// pipeline composes the Runner's stages over a source and sink.
-func (r Runner) pipeline(src Source, sink Sink) *Pipeline {
-	return &Pipeline{
-		Source:   src,
-		Infer:    modelInference{opts: r.Opts},
-		Judge:    judgeStage{judge: r.Judge},
-		Sink:     sink,
-		Observer: r.Observer,
-		Workers:  r.EffectiveWorkers(),
-	}
-}
-
-// Evaluate runs one model over the benchmark.
-func (r Runner) Evaluate(m Model, b *dataset.Benchmark) *Report {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
-	rep, _ := r.EvaluateContext(context.Background(), m, b)
-	return rep
-}
-
-// EvaluateContext runs one model over the benchmark with cooperative
-// cancellation. On cancel it returns ctx.Err() together with a partial
-// report holding a consistent prefix of the question order; every
-// result present is byte-identical to the full run's.
+// EvaluateContext runs one model over the benchmark: the one-model
+// grid of EvaluateAllContext, whose Seq order is the question order.
+// On cancel it returns ctx.Err() together with a partial report
+// holding a consistent prefix of the question order; every result
+// present is byte-identical to the full run's.
 func (r Runner) EvaluateContext(ctx context.Context, m Model, b *dataset.Benchmark) (*Report, error) {
-	rep := &Report{}
-	err := r.EvaluateInto(ctx, m, b, rep)
-	return rep, err
+	out, err := r.EvaluateAllContext(ctx, []Model{m}, b)
+	return out[0], err
 }
 
-// EvaluateInto is EvaluateContext writing into a caller-retained
-// report: rep's ModelName is overwritten and its Results slice is
-// truncated and refilled in place when its capacity already fits the
-// benchmark, so a loop evaluating many models (or the same model
-// repeatedly, as the benchmarks do) reuses one QuestionResult buffer
-// instead of allocating per run.
-func (r Runner) EvaluateInto(ctx context.Context, m Model, b *dataset.Benchmark, rep *Report) error {
-	rep.ModelName = m.Name()
-	rep.Results = sizeResults(rep.Results, len(b.Questions))
-	sink := &reportSink{nq: len(b.Questions), reports: []*Report{rep}}
-	return r.pipeline(benchmarkSource{model: m, questions: b.Questions}, sink).Run(ctx)
-}
-
-// sizeResults truncates rs for refilling, reallocating only when the
-// capacity cannot hold n results.
-func sizeResults(rs []QuestionResult, n int) []QuestionResult {
-	if cap(rs) < n {
-		return make([]QuestionResult, 0, n)
-	}
-	return rs[:0]
-}
-
-// EvaluateAll runs every model and returns reports in input order. The
-// (model, question) grid is flattened into one task list so the worker
-// pool stays busy across model boundaries — a cheap model finishing
-// early does not idle its workers while an expensive one lags.
-func (r Runner) EvaluateAll(models []Model, b *dataset.Benchmark) []*Report {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
-	out, _ := r.EvaluateAllContext(context.Background(), models, b)
-	return out
-}
-
-// EvaluateAllContext is EvaluateAll with cooperative cancellation. On
-// cancel the returned reports hold a consistent prefix of the
+// EvaluateAllContext runs every model and returns reports in input
+// order. The (model, question) grid is flattened into one task list so
+// the worker pool stays busy across model boundaries — a cheap model
+// finishing early does not idle its workers while an expensive one
+// lags. On cancel the returned reports hold a consistent prefix of the
 // flattened model-major order: models before the cut-off are complete,
 // the model at the cut-off has a prefix of its questions, later models
 // are empty.
@@ -245,33 +188,15 @@ func (r Runner) EvaluateAllContext(ctx context.Context, models []Model, b *datas
 	out := make([]*Report, len(models))
 	headers := make([]Report, len(models))
 	backing := make([]QuestionResult, len(models)*nq)
-	for i := range models {
-		out[i] = &headers[i]
-		out[i].Results = backing[i*nq : i*nq : (i+1)*nq]
-	}
-	err := r.EvaluateAllInto(ctx, models, b, out)
-	return out, err
-}
-
-// EvaluateAllInto is EvaluateAllContext writing into caller-retained
-// reports (one per model, same order): each report's ModelName is
-// overwritten and its Results refilled in place when capacity fits, so
-// a grid evaluated repeatedly — resolution sweeps, benchmark loops —
-// reuses its QuestionResult buffers across runs.
-func (r Runner) EvaluateAllInto(ctx context.Context, models []Model, b *dataset.Benchmark, reports []*Report) error {
-	if len(reports) != len(models) {
-		return fmt.Errorf("eval: %d reports for %d models", len(reports), len(models))
-	}
-	nq := len(b.Questions)
 	for i, m := range models {
-		reports[i].ModelName = m.Name()
-		reports[i].Results = sizeResults(reports[i].Results, nq)
+		headers[i] = Report{ModelName: m.Name(), Results: backing[i*nq : i*nq : (i+1)*nq]}
+		out[i] = &headers[i]
 	}
 	if nq == 0 || len(models) == 0 {
-		return nil
+		return out, nil
 	}
-	sink := &reportSink{nq: nq, reports: reports}
-	return r.pipeline(gridSource{models: models, questions: b.Questions}, sink).Run(ctx)
+	sink := &reportSink{nq: nq, reports: out}
+	return out, r.run(ctx, newGridScheduler(models, b.Questions), sink)
 }
 
 // FormatTableII renders reports in the layout of the paper's Table II:

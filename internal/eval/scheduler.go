@@ -3,16 +3,16 @@ package eval
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/dataset"
 )
 
-// This file is the pull-based successor of the static Source seam: an
-// ItemScheduler hands the pipeline its next task on demand and hears
-// every judged outcome back, which is what lets a scheduler *react* —
-// an adaptive run picks its next question from the verdicts so far,
-// something a Len()/Event(i) grid can never express. Static sources
-// remain first-class citizens: newSourceScheduler wraps any Source into
-// a trivial scheduler whose behaviour (and therefore whose reports) is
-// byte-identical to the pre-seam pipeline.
+// This file is the pipeline's one task seam: an ItemScheduler hands the
+// worker pool its next task on demand and hears every judged outcome
+// back, which is what lets a scheduler *react* — an adaptive run picks
+// its next question from the verdicts so far. Static runs are the
+// feedback-free case: gridScheduler hands out a fixed (model, question)
+// grid and ignores the outcomes.
 
 // ScheduleState is an ItemScheduler's answer to Next.
 type ScheduleState int
@@ -31,7 +31,7 @@ const (
 	ScheduleDone
 )
 
-// ItemScheduler is the pipeline's dynamic source seam.
+// ItemScheduler is the pipeline's task seam.
 //
 // Next may be called concurrently from every worker; implementations
 // guard their own state. Events must be issued with consecutive Seq
@@ -45,43 +45,47 @@ const (
 // observer, and any serving layer on top. Because Record order is the
 // canonical delivery order, a scheduler whose decisions are pure
 // functions of the outcomes it has recorded is deterministic for any
-// worker count — the §6/§7 invariant extended to dynamic sources.
+// worker count — the §6/§7 invariant extended to dynamic schedulers.
 type ItemScheduler interface {
 	Next() (Event, ScheduleState)
 	Record(ev *Event)
 }
 
 // schedulerSize is an optional ItemScheduler extension bounding useful
-// parallelism (a static source's length, an adaptive tournament's
+// parallelism (a static grid's size, an adaptive tournament's
 // model count); the pipeline clamps its worker pool to it.
 type schedulerSize interface {
 	SizeHint() int
 }
 
-// sourceScheduler adapts a static Source to the ItemScheduler seam: an
-// atomic claim counter hands out Event(i) exactly as the pre-seam
-// worker loop did, Record is a no-op, and Wait never occurs.
-type sourceScheduler struct {
-	src  Source
-	n    int
-	next atomic.Int64
+// gridScheduler is the static scheduler: it hands out the flattened
+// model-major (model, question) grid — so the worker pool stays busy
+// across model boundaries — through an atomic claim counter. The event
+// for claim t is a pure function of t, Record is a no-op, and Wait
+// never occurs.
+// With one model the Seq order is the question order.
+type gridScheduler struct {
+	models    []Model
+	questions []*dataset.Question
+	next      atomic.Int64
 }
 
-func newSourceScheduler(src Source) *sourceScheduler {
-	return &sourceScheduler{src: src, n: src.Len()}
+func newGridScheduler(models []Model, questions []*dataset.Question) *gridScheduler {
+	return &gridScheduler{models: models, questions: questions}
 }
 
-func (s *sourceScheduler) Next() (Event, ScheduleState) {
-	i := int(s.next.Add(1)) - 1
-	if i >= s.n {
+func (s *gridScheduler) Next() (Event, ScheduleState) {
+	t := int(s.next.Add(1)) - 1
+	if t >= s.SizeHint() {
 		return Event{}, ScheduleDone
 	}
-	return s.src.Event(i), ScheduleReady
+	nq := len(s.questions)
+	return Event{Seq: t, Model: s.models[t/nq], Question: s.questions[t%nq]}, ScheduleReady
 }
 
-func (s *sourceScheduler) Record(*Event) {}
+func (s *gridScheduler) Record(*Event) {}
 
-func (s *sourceScheduler) SizeHint() int { return s.n }
+func (s *gridScheduler) SizeHint() int { return len(s.models) * len(s.questions) }
 
 // schedGate wakes workers parked on ScheduleWait. A worker arms the
 // gate only after a first Next returned Wait (so the static path never

@@ -8,34 +8,45 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestSourceSchedulerCoversSourceOnce: the static wrapper hands out each
-// source index exactly once, then reports done forever.
+// TestSourceSchedulerCoversSourceOnce: the static grid scheduler hands
+// out each (model, question) task exactly once, in model-major Seq
+// order, then reports done forever — for a one-model grid and a
+// three-model one.
 func TestSourceSchedulerCoversSourceOnce(t *testing.T) {
 	b := testBenchmark(9)
-	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
-	s := newSourceScheduler(benchmarkSource{model: m, questions: b.Questions})
-	seen := make(map[int]bool)
-	for {
-		ev, st := s.Next()
-		if st == ScheduleDone {
-			break
-		}
-		if st != ScheduleReady {
-			t.Fatalf("static scheduler returned state %v", st)
-		}
-		if seen[ev.Seq] {
-			t.Fatalf("seq %d handed out twice", ev.Seq)
-		}
-		seen[ev.Seq] = true
+	model := func(name string) Model {
+		return fixedModel{name, func(*dataset.Question) string { return "c" }}
 	}
-	if len(seen) != b.Len() {
-		t.Fatalf("claimed %d events, want %d", len(seen), b.Len())
-	}
-	if _, st := s.Next(); st != ScheduleDone {
-		t.Fatal("drained scheduler not done")
-	}
-	if s.SizeHint() != b.Len() {
-		t.Fatalf("SizeHint %d, want %d", s.SizeHint(), b.Len())
+	for _, models := range [][]Model{{model("m")}, {model("m1"), model("m2"), model("m3")}} {
+		s := newGridScheduler(models, b.Questions)
+		n := len(models) * b.Len()
+		seen := make(map[int]bool)
+		for {
+			ev, st := s.Next()
+			if st == ScheduleDone {
+				break
+			}
+			if st != ScheduleReady {
+				t.Fatalf("static scheduler returned state %v", st)
+			}
+			if seen[ev.Seq] {
+				t.Fatalf("seq %d handed out twice", ev.Seq)
+			}
+			seen[ev.Seq] = true
+			wantQ, wantM := b.Questions[ev.Seq%b.Len()], models[ev.Seq/b.Len()].Name()
+			if ev.Question != wantQ || ev.Model.Name() != wantM {
+				t.Fatalf("seq %d: (%s, %s), want (%s, %s)", ev.Seq, ev.Model.Name(), ev.Question.ID, wantM, wantQ.ID)
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("%d models: claimed %d events, want %d", len(models), len(seen), n)
+		}
+		if _, st := s.Next(); st != ScheduleDone {
+			t.Fatal("drained scheduler not done")
+		}
+		if s.SizeHint() != n {
+			t.Fatalf("SizeHint %d, want %d", s.SizeHint(), n)
+		}
 	}
 }
 
@@ -89,14 +100,8 @@ func TestDynamicSchedulerSequentialChain(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		sched := &chainScheduler{model: m, questions: b.Questions}
 		rep := &Report{ModelName: m.Name()}
-		p := &Pipeline{
-			Scheduler: sched,
-			Infer:     modelInference{},
-			Judge:     judgeStage{judge: Judge{}},
-			Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
-			Workers:   workers,
-		}
-		if err := p.Run(context.Background()); err != nil {
+		sink := &reportSink{nq: b.Len(), reports: []*Report{rep}}
+		if err := (Runner{Workers: workers}).run(context.Background(), sched, sink); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(rep.Results) != b.Len() {
@@ -115,29 +120,6 @@ func TestDynamicSchedulerSequentialChain(t *testing.T) {
 				t.Fatalf("workers=%d: result %d is %s, want %s", workers, i, res.QuestionID, b.Questions[i].ID)
 			}
 		}
-	}
-}
-
-// TestSchedulerWinsOverSource: when both seams are set, the dynamic
-// scheduler drives the run and the static source is ignored.
-func TestSchedulerWinsOverSource(t *testing.T) {
-	b := testBenchmark(10)
-	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
-	sched := &chainScheduler{model: m, questions: b.Questions[:3]}
-	rep := &Report{ModelName: m.Name()}
-	p := &Pipeline{
-		Scheduler: sched,
-		Source:    benchmarkSource{model: m, questions: b.Questions},
-		Infer:     modelInference{},
-		Judge:     judgeStage{judge: Judge{}},
-		Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
-		Workers:   4,
-	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("delivered %d results, want the scheduler's 3 (source must be ignored)", len(rep.Results))
 	}
 }
 

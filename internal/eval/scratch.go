@@ -8,9 +8,8 @@ import "sync"
 //
 // Ownership follows the pixel-pool discipline of DESIGN.md §8 that
 // poolown machine-checks for buffers: a Scratch belongs to exactly one
-// goroutine at a time. The pipeline's worker loop checks one out per
-// worker for the duration of a run (Pipeline.Run threads it to the
-// Inference/Judge stages through the event); the standalone
+// goroutine at a time. Each pipeline worker checks one out for the
+// duration of a run and holds it in a local variable; the standalone
 // Judge.Correct path borrows one from a package pool per call. The
 // byte slices it hands out (normA/normB) alias its internal buffers
 // and are invalidated by the next call on the same buffer — callers

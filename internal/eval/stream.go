@@ -7,42 +7,33 @@ import (
 	"repro/internal/dataset"
 )
 
-// Streaming evaluation: the shard-at-a-time counterpart of EvaluateAll
-// for folds too large to hold in memory. The stream callback drives the
-// run — StreamExtended regenerates shards, StreamPack decodes them from
-// a packed fold — and each shard's questions are released to the
-// garbage collector as soon as the next shard arrives.
+// Streaming evaluation: the shard-at-a-time counterpart of
+// EvaluateAllContext for folds too large to hold in memory. The stream
+// callback drives the run — StreamExtended regenerates shards,
+// StreamPack decodes them from a packed fold — and each shard's
+// questions are released to the garbage collector as soon as the next
+// shard arrives.
 //
-// Reports are byte-identical to a monolithic EvaluateAll over the
-// concatenated questions: every stochastic decision in the pipeline is
+// Reports are byte-identical to a monolithic EvaluateAllContext over
+// the concatenated questions: every stochastic decision in the pipeline is
 // keyed by (model, question, stage) and never by a question's position
 // in the run, so evaluating a question inside shard 7 of 100 produces
 // exactly the result it has inside one monolithic benchmark. Within a
 // shard the grid is model-major and the sink consumes in Seq order, so
 // each model's Results fill in question order across shards too.
 
-// EvaluateShards runs every model over a shard stream and returns
-// reports in model order. stream must call its yield for each shard in
-// canonical order (dataset.Shard semantics) and return yield's error
-// unchanged; both shard producers in this repository do.
-func (r Runner) EvaluateShards(models []Model, stream func(func(dataset.Shard) error) error) ([]*Report, error) {
-	out := make([]*Report, len(models))
-	for i := range out {
-		out[i] = &Report{}
-	}
-	err := r.EvaluateShardsContext(context.Background(), models, stream, out)
-	return out, err
-}
-
-// EvaluateShardsContext is EvaluateShards with cooperative cancellation,
-// writing into caller-retained reports (one per model, same order).
-// On cancel the error is ctx.Err() and each report holds a consistent
-// prefix: shards before the cut-off are complete, the shard at the
-// cut-off contributes a prefix of its own model-major order.
+// EvaluateShardsContext runs every model over a shard stream, writing
+// into caller-retained reports (one per model, same order). stream
+// must call its yield for each shard in canonical order (dataset.Shard
+// semantics) and return yield's error unchanged; both shard producers
+// in this repository do. On cancel the error is ctx.Err() and each
+// report holds a consistent prefix: shards before the cut-off are
+// complete, the shard at the cut-off contributes a prefix of its own
+// model-major order.
 //
 // An Observer on the Runner sees events with shard-local Seq values
-// (each shard runs its own pipeline); order within a shard is still
-// the deterministic canonical order.
+// (each shard runs its own grid); order within a shard is still the
+// deterministic canonical order.
 func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, stream func(func(dataset.Shard) error) error, reports []*Report) error {
 	if len(reports) != len(models) {
 		return fmt.Errorf("eval: %d reports for %d models", len(reports), len(models))
@@ -68,6 +59,6 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 			return nil
 		}
 		sink := &reportSink{nq: len(sh.Questions), reports: reports}
-		return r.pipeline(gridSource{models: models, questions: sh.Questions}, sink).Run(ctx)
+		return r.run(ctx, newGridScheduler(models, sh.Questions), sink)
 	})
 }

@@ -36,6 +36,17 @@ func streamTestModels() []Model {
 	}
 }
 
+// evaluateShards runs a shard stream through EvaluateShardsContext into
+// fresh reports.
+func evaluateShards(r Runner, models []Model, stream func(func(dataset.Shard) error) error) ([]*Report, error) {
+	reps := make([]*Report, len(models))
+	for i := range reps {
+		reps[i] = &Report{}
+	}
+	err := r.EvaluateShardsContext(context.Background(), models, stream, reps)
+	return reps, err
+}
+
 func reportsJSON(t *testing.T, reps []*Report) []byte {
 	t.Helper()
 	js, err := json.Marshal(reps)
@@ -48,16 +59,16 @@ func reportsJSON(t *testing.T, reps []*Report) []byte {
 // TestEvaluateShardsMatchesMonolithic is the streaming determinism
 // contract: for every worker count and shard geometry, shard-at-a-time
 // evaluation produces reports byte-identical to one monolithic
-// EvaluateAll. Run under -race this also exercises the per-shard worker
+// EvaluateAllContext. Run under -race this also exercises the per-shard worker
 // pools concurrently.
 func TestEvaluateShardsMatchesMonolithic(t *testing.T) {
 	b := testBenchmark(23)
 	models := streamTestModels()
-	mono := reportsJSON(t, Runner{}.EvaluateAll(models, b))
+	mono := reportsJSON(t, evaluateAll(t, Runner{}, models, b))
 	for _, workers := range []int{1, 2, 4, 8} {
 		r := Runner{Workers: workers}
 		for _, shardSize := range []int{1, 3, 7, 23, 50} {
-			reps, err := r.EvaluateShards(models, sliceStream(b, shardSize))
+			reps, err := evaluateShards(r, models, sliceStream(b, shardSize))
 			if err != nil {
 				t.Fatalf("workers=%d shard=%d: %v", workers, shardSize, err)
 			}
@@ -87,7 +98,7 @@ func TestEvaluateShardsInto(t *testing.T) {
 			}
 		}
 	}
-	if got := reportsJSON(t, reports); string(got) != string(reportsJSON(t, Runner{}.EvaluateAll(models, b))) {
+	if got := reportsJSON(t, reports); string(got) != string(reportsJSON(t, evaluateAll(t, Runner{}, models, b))) {
 		t.Error("refilled reports differ from monolithic")
 	}
 }
@@ -101,7 +112,7 @@ func TestEvaluateShardsStopsOnStreamError(t *testing.T) {
 		}
 		return sentinel
 	}
-	reps, err := (Runner{}).EvaluateShards(streamTestModels(), stream)
+	reps, err := evaluateShards(Runner{}, streamTestModels(), stream)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}

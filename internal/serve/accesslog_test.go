@@ -52,6 +52,10 @@ func TestServeAccessLogE2E(t *testing.T) {
 	waitTerminal(t, ts, st.ID) // polls GET /v1/runs/{id} — logged too
 	get("/v1/runs/"+st.ID+"/report", http.StatusOK)
 
+	// A client can read a whole response before the handler returns and
+	// the middleware writes its record; Close waits for every in-flight
+	// handler, so the log is complete before it is read back.
+	ts.Close()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vlm
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -107,9 +108,10 @@ type LearningCurvePoint struct {
 
 // LearningCurve fine-tunes the base model on nested training sets of
 // increasing size (drawn from trainPool) and evaluates each tuned model
-// on the held-out test collection.
-func LearningCurve(base *SimulatedVLM, trainPool, test *dataset.Benchmark,
-	sizes []int, cfg TrainingConfig) []LearningCurvePoint {
+// on the held-out test collection. On cancel it returns the context
+// error with the points measured so far.
+func LearningCurve(ctx context.Context, base *SimulatedVLM, trainPool, test *dataset.Benchmark,
+	sizes []int, cfg TrainingConfig) ([]LearningCurvePoint, error) {
 	byCat := trainPool.ByCategory()
 	runner := eval.Runner{}
 	out := make([]LearningCurvePoint, 0, len(sizes))
@@ -124,8 +126,11 @@ func LearningCurve(base *SimulatedVLM, trainPool, test *dataset.Benchmark,
 			sub.Questions = append(sub.Questions, qs[:n]...)
 		}
 		tuned := FineTune(base, sub, cfg)
-		rep := runner.Evaluate(tuned, test)
+		rep, err := runner.EvaluateContext(ctx, tuned, test)
+		if err != nil {
+			return out, err
+		}
 		out = append(out, LearningCurvePoint{TrainPerCategory: size, Pass1: rep.Pass1()})
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package vlm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -30,8 +31,8 @@ func TestFineTuneImprovesWeakModel(t *testing.T) {
 	pool, test := trainTestSplit(t)
 	tuned := FineTune(base, pool, DefaultTraining())
 	r := eval.Runner{}
-	basePass := r.Evaluate(base, test).Pass1()
-	tunedPass := r.Evaluate(tuned, test).Pass1()
+	basePass := evaluate(t, r, base, test).Pass1()
+	tunedPass := evaluate(t, r, tuned, test).Pass1()
 	if tunedPass <= basePass {
 		t.Errorf("tuned %.3f did not improve over base %.3f on held-out questions",
 			tunedPass, basePass)
@@ -49,8 +50,8 @@ func TestFineTuneNeverHurts(t *testing.T) {
 	pool, test := trainTestSplit(t)
 	tuned := FineTune(base, pool, DefaultTraining())
 	r := eval.Runner{}
-	basePass := r.Evaluate(base, test).Pass1()
-	tunedPass := r.Evaluate(tuned, test).Pass1()
+	basePass := evaluate(t, r, base, test).Pass1()
+	tunedPass := evaluate(t, r, tuned, test).Pass1()
 	if tunedPass < basePass {
 		t.Errorf("tuning regressed %.3f -> %.3f", basePass, tunedPass)
 	}
@@ -79,7 +80,10 @@ func TestLearningCurveMonotoneByConstruction(t *testing.T) {
 	zoo := NewZoo(std)
 	base, _ := zoo.Model("LLaVA-7b")
 	pool, test := trainTestSplit(t)
-	curve := LearningCurve(base, pool, test, []int{0, 5, 15, 30}, DefaultTraining())
+	curve, err := LearningCurve(context.Background(), base, pool, test, []int{0, 5, 15, 30}, DefaultTraining())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 4 {
 		t.Fatalf("curve length %d", len(curve))
 	}

@@ -1,6 +1,7 @@
 package vlm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,8 +81,8 @@ func TestTableIICalibration(t *testing.T) {
 	r := eval.Runner{}
 	const tol = 0.03
 	for _, m := range zoo.Models() {
-		repStd := r.Evaluate(m, b)
-		repChal := r.Evaluate(m, chal)
+		repStd := evaluate(t, r, m, b)
+		repChal := evaluate(t, r, m, chal)
 		byStd := repStd.Pass1ByCategory()
 		byChal := repChal.Pass1ByCategory()
 		for _, c := range dataset.Categories() {
@@ -101,8 +102,8 @@ func TestGPT4oHeadlineNumbers(t *testing.T) {
 	b, chal, zoo := buildAll(t)
 	m, _ := zoo.Model("GPT4o")
 	r := eval.Runner{}
-	std := r.Evaluate(m, b).Pass1()
-	noChoice := r.Evaluate(m, chal).Pass1()
+	std := evaluate(t, r, m, b).Pass1()
+	noChoice := evaluate(t, r, m, chal).Pass1()
 	// The abstract's numbers: 44% and 20%.
 	if math.Abs(std-0.44) > 0.015 {
 		t.Errorf("GPT-4o standard pass@1 %.3f, paper reports 0.44", std)
@@ -117,8 +118,8 @@ func TestEveryModelDropsWithoutChoices(t *testing.T) {
 	b, chal, zoo := buildAll(t)
 	r := eval.Runner{}
 	for _, m := range zoo.Models() {
-		std := r.Evaluate(m, b).Pass1()
-		noChoice := r.Evaluate(m, chal).Pass1()
+		std := evaluate(t, r, m, b).Pass1()
+		noChoice := evaluate(t, r, m, chal).Pass1()
 		if noChoice > std+0.02 {
 			t.Errorf("%s improved without options: %.3f -> %.3f", m.Name(), std, noChoice)
 		}
@@ -132,7 +133,7 @@ func TestResolutionStudy(t *testing.T) {
 		func(q *dataset.Question) bool { return q.Category == dataset.Digital })}
 	get := func(f int) float64 {
 		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}}
-		return r.Evaluate(m, digital).Pass1()
+		return evaluate(t, r, m, digital).Pass1()
 	}
 	p1, p8, p16 := get(1), get(8), get(16)
 	// §IV-B: 8x preserves the pass rate; 16x drops 0.49 -> 0.37.
@@ -210,7 +211,7 @@ func TestPerceptionFailureResponses(t *testing.T) {
 	m.SetPerception(p)
 	defer m.SetPerception(DefaultPerception())
 	r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: 16}}
-	rep := r.Evaluate(m, b)
+	rep := evaluate(t, r, m, b)
 	if rep.Pass1() > 0.01 {
 		t.Errorf("pass@1 %.3f with impossible recall threshold", rep.Pass1())
 	}
@@ -249,4 +250,15 @@ func TestEvalModelsOrder(t *testing.T) {
 		}
 	}
 	_ = b
+}
+
+// evaluate runs one model through Runner.EvaluateContext, failing the
+// test on error.
+func evaluate(t testing.TB, r eval.Runner, m eval.Model, b *dataset.Benchmark) *eval.Report {
+	t.Helper()
+	rep, err := r.EvaluateContext(context.Background(), m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
