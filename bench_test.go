@@ -107,8 +107,7 @@ func BenchmarkTableIIGrid(b *testing.B) {
 	}
 }
 
-// E2e — the sharded grid sweep behind the bench snapshot's
-// table_ii_grid section: the full (model, question) grid through
+// E2e — the sharded grid sweep: the full (model, question) grid through
 // EvaluateAllContext at fixed worker counts 1/2/4/8, each shard count
 // first proven byte-identical to the workers=1 run via a digest over
 // every model name, question ID, response and verdict. The scaling is

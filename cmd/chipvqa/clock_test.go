@@ -5,23 +5,9 @@ import (
 	"time"
 )
 
-// TestSnapshotDateUsesInjectedClock pins the clock seam and checks the
-// bench snapshot's date field — the reason `now` is a variable rather
-// than a direct time.Now call (and the one seam nodeterm whitelists).
-func TestSnapshotDateUsesInjectedClock(t *testing.T) {
-	defer func(orig func() time.Time) { now = orig }(now)
-	now = func() time.Time {
-		return time.Date(2025, time.March, 14, 23, 59, 0, 0, time.FixedZone("UTC+7", 7*3600))
-	}
-	// 23:59 at UTC+7 is 16:59 UTC the same day: the date must be the
-	// UTC one, independent of the host zone.
-	if got, want := snapshotDate(), "2025-03-14"; got != want {
-		t.Fatalf("snapshotDate() = %q, want %q", got, want)
-	}
-}
-
-// TestInjectedClockMeasuresElapsed drives the same pattern cmdBench
-// uses (start := now(); ...; now().Sub(start)) against a scripted clock.
+// TestInjectedClockMeasuresElapsed drives the same pattern cmdPack
+// uses for its encode and -check load timings (start := now(); ...;
+// now().Sub(start)) against a scripted clock.
 func TestInjectedClockMeasuresElapsed(t *testing.T) {
 	defer func(orig func() time.Time) { now = orig }(now)
 	base := time.Date(2025, time.March, 14, 9, 0, 0, 0, time.UTC)

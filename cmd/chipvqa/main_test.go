@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -291,63 +293,38 @@ func TestCmdAdaptive(t *testing.T) {
 	}
 }
 
-func TestCmdBenchDiff(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+// TestExitCodes pins the process exit contract through real commands:
+// 0 success, 1 runtime failure, 2 command-line misuse (including
+// contradictory flags detected after parsing).
+func TestExitCodes(t *testing.T) {
+	if got := exitCode(nil); got != 0 {
+		t.Fatalf("exitCode(nil) = %d, want 0", got)
+	}
+	if got := exitCode(errors.New("boom")); got != 1 {
+		t.Fatalf("exitCode(runtime error) = %d, want 1", got)
+	}
+	// Wrapped usage errors still map to 2.
+	if got := exitCode(fmt.Errorf("outer: %w", usagef("inner"))); got != 2 {
+		t.Fatalf("exitCode(wrapped usage error) = %d, want 2", got)
+	}
+
+	out := filepath.Join(t.TempDir(), "ext.json")
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want int
+	}{
+		{"ask d01", func() error { return cmdAsk(context.Background(), []string{"-q", "d01"}) }, 0},
+		{"ask unknown question", func() error { return cmdAsk(context.Background(), []string{"-q", "nope"}) }, 1},
+		{"extended -stream without -eval", func() error {
+			return cmdExtended(context.Background(), []string{"-stream"})
+		}, 2},
+		{"extended -stream -eval -o", func() error {
+			return cmdExtended(context.Background(), []string{"-stream", "-eval", "-o", out})
+		}, 2},
+	} {
+		if got := exitCode(tc.run()); got != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
 		}
-		return p
-	}
-	old := write("old.json", `{
-		"schema": "chipvqa-bench/2",
-		"bootstrap_ci_ns_per_op": 1000000,
-		"table_ii_serial_ns_per_op": 500,
-		"dropped_ns_per_op": 42
-	}`)
-	better := write("better.json", `{
-		"schema": "chipvqa-bench/3",
-		"bootstrap_ci_ns_per_op": 50000,
-		"bootstrap_ci_allocs_per_op": 14,
-		"table_ii_serial_ns_per_op": 550,
-		"table_ii_grid": [{"workers": 1, "ns_per_op": 7, "allocs_per_op": 0}]
-	}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, better}); err != nil {
-		t.Fatalf("improvement flagged as regression: %v", err)
-	}
-	slow := write("slow.json", `{"bootstrap_ci_ns_per_op": 1300000, "table_ii_serial_ns_per_op": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, slow}); err == nil {
-		t.Error(">20% ns/op growth not rejected")
-	}
-	// Within tolerance: 10% growth passes the default 20% gate.
-	mild := write("mild.json", `{"bootstrap_ci_ns_per_op": 1100000, "table_ii_serial_ns_per_op": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, mild}); err != nil {
-		t.Errorf("10%% growth rejected at default tolerance: %v", err)
-	}
-	// Any allocs/op increase is a regression, even with ns/op flat.
-	allocOld := write("alloc-old.json", `{"judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 0}`)
-	allocNew := write("alloc-new.json", `{"judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 3}`)
-	if err := cmdBenchDiff(context.Background(), []string{allocOld, allocNew}); err == nil {
-		t.Error("allocs/op increase not rejected")
-	}
-	// Any rank-agreement decrease is a regression (quality gate, schema
-	// v5); an increase or equality passes.
-	rankOld := write("rank-old.json", `{"adaptive_rank_agreement": 1.0, "adaptive_questions_asked": 600}`)
-	rankBad := write("rank-bad.json", `{"adaptive_rank_agreement": 0.95, "adaptive_questions_asked": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{rankOld, rankBad}); err == nil {
-		t.Error("rank_agreement decrease not rejected")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{rankOld, rankOld}); err != nil {
-		t.Errorf("flat rank_agreement rejected: %v", err)
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old}); err == nil {
-		t.Error("missing operand accepted")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old, filepath.Join(dir, "nope.json")}); err == nil {
-		t.Error("unreadable snapshot accepted")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old, write("bad.json", "{")}); err == nil {
-		t.Error("malformed JSON accepted")
 	}
 }

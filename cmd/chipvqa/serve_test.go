@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -165,45 +163,5 @@ func TestCmdServeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(logBytes), `"path":"/v1/questions"`) {
 		t.Errorf("access log missing the browse request:\n%s", logBytes)
-	}
-}
-
-// TestExitCodes pins the process exit contract: 0 success, 1 runtime
-// failure (including benchdiff regressions), 2 command-line misuse.
-func TestExitCodes(t *testing.T) {
-	if got := exitCode(nil); got != 0 {
-		t.Fatalf("exitCode(nil) = %d, want 0", got)
-	}
-	if got := exitCode(errors.New("boom")); got != 1 {
-		t.Fatalf("exitCode(runtime error) = %d, want 1", got)
-	}
-	if got := exitCode(usagef("bad flags")); got != 2 {
-		t.Fatalf("exitCode(usage error) = %d, want 2", got)
-	}
-	// Wrapped usage errors still map to 2.
-	if got := exitCode(fmt.Errorf("outer: %w", usagef("inner"))); got != 2 {
-		t.Fatalf("exitCode(wrapped usage error) = %d, want 2", got)
-	}
-
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	old := write("old.json", `{"schema": "chipvqa-bench/3", "judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 2}`)
-	good := write("good.json", `{"schema": "chipvqa-bench/3", "judge_all_ns_per_op": 90, "judge_all_allocs_per_op": 2}`)
-	bad := write("bad.json", `{"schema": "chipvqa-bench/3", "judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 5}`)
-
-	if got := exitCode(cmdBenchDiff(context.Background(), []string{old, good})); got != 0 {
-		t.Errorf("clean benchdiff exits %d, want 0", got)
-	}
-	if got := exitCode(cmdBenchDiff(context.Background(), []string{old, bad})); got != 1 {
-		t.Errorf("allocs regression exits %d, want 1", got)
-	}
-	if got := exitCode(cmdBenchDiff(context.Background(), []string{old})); got != 2 {
-		t.Errorf("one-operand benchdiff exits %d, want 2", got)
 	}
 }

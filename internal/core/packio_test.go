@@ -131,7 +131,7 @@ func TestStreamPackMatchesStreamExtended(t *testing.T) {
 // the codec: at 10k-question scale, loading a packed fold must beat
 // regenerating it by a wide margin. Generation is the serial streaming
 // build — the apples-to-apples single-goroutine comparison. The
-// measured ratio on the reference host is 10-12x (the snapshot's
+// measured ratio on the reference host is 10-12x (BENCH_4.json's
 // pack_load_10k_speedup field records it); the test gates at 7x so a
 // noisy shared-CI scheduler cannot flake a genuinely order-of-magnitude
 // win, while a real codec regression (ratio collapse) still fails.

@@ -14,8 +14,8 @@ import (
 //   - internal/rng, the single randomness package (streams keyed by
 //     rng.New/rng.Seed);
 //   - files named clock.go, the injectable wall-clock seam (cmd/chipvqa
-//     routes its bench timestamps through one `var now = time.Now`
-//     there, so tests can pin it);
+//     routes cmdPack's encode and -check load timings through one
+//     `var now = time.Now` there, so tests can script it);
 //   - _test.go files (excluded by the loader).
 //
 // Everything else must take time and randomness as inputs.
