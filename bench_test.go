@@ -597,15 +597,14 @@ func BenchmarkRenderPipeline(b *testing.B) {
 }
 
 // The span raster kernel cold: every question's scene rasterised from
-// scratch, each frame handed back to the pixel pool. No cache — this is
+// scratch into a caller-owned frame that is dropped. No cache — this is
 // the kernel itself, amortised over all 142 figures.
 func BenchmarkRenderAllCold(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range suite.Benchmark.Questions {
-			img := visual.Render(q.Visual)
-			visual.ReleaseImage(img)
+			_ = visual.Render(q.Visual)
 		}
 	}
 }
@@ -625,7 +624,7 @@ func BenchmarkQuestionImageWarm(b *testing.B) {
 	}
 }
 
-// The cloning read path: RenderQuestion pays a pooled row-copy per call
+// The cloning read path: RenderQuestion pays a fresh row-copy per call
 // for a mutable frame. The gap to BenchmarkQuestionImageWarm is the
 // price of the private copy.
 func BenchmarkRenderQuestionClone(b *testing.B) {
@@ -636,8 +635,7 @@ func BenchmarkRenderQuestionClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range suite.Benchmark.Questions {
-			img := chipvqa.RenderQuestion(q, 8)
-			visual.ReleaseImage(img)
+			_ = chipvqa.RenderQuestion(q, 8)
 		}
 	}
 }
@@ -649,8 +647,7 @@ func BenchmarkDownsample(b *testing.B) {
 	for _, f := range []int{2, 8, 16} {
 		b.Run(fmt.Sprintf("%dx", f), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out := visual.Downsample(img, f)
-				visual.ReleaseImage(out)
+				_ = visual.Downsample(img, f)
 			}
 		})
 	}

@@ -359,20 +359,20 @@ func (s *Suite) FormatTableI() string { return s.Stats().FormatTableI() }
 // RenderQuestion rasterises a question's visual, optionally downsampled.
 // Rendering goes through the shared scene cache, so repeated renders of
 // the same question at the same factor rasterise once; the returned
-// image is a private copy the caller may mutate. Callers that only read
-// pixels should prefer QuestionImage, which skips the copy entirely.
+// image is a caller-owned copy the caller may mutate. Callers that only
+// read pixels should prefer QuestionImage, which skips the copy entirely.
 func RenderQuestion(q *Question, downsample int) *image.RGBA {
-	return visual.Clone(visual.CachedDownsample(q.Visual, downsample))
+	return visual.Clone(QuestionImage(q, downsample))
 }
 
 // QuestionImage returns the question's rendered (and optionally
 // downsampled) image straight from the shared scene cache, without
 // cloning. The image is shared with the cache and with every other
-// caller: it MUST be treated as read-only and must never be passed to
-// visual.ReleaseImage. Warm lookups cost a map access instead of a
-// full pixel copy; use RenderQuestion when a mutable copy is needed.
+// caller, so it MUST be treated as read-only. Warm lookups cost a map
+// access instead of a full pixel copy; use RenderQuestion when a
+// mutable copy is needed.
 func QuestionImage(q *Question, downsample int) *image.RGBA {
-	return visual.CachedDownsample(q.Visual, downsample)
+	return visual.Default.Downsampled(q.Visual, downsample)
 }
 
 // RenderCacheStats reports the shared scene cache's cumulative hit/miss

@@ -113,6 +113,18 @@ func usagef(format string, args ...any) error {
 	return usageError{msg: fmt.Sprintf(format, args...)}
 }
 
+// checkShardBudget rejects the out-of-range -shard and -cachebudget
+// values up front, before any work starts.
+func checkShardBudget(shard int, budget int64) error {
+	if shard < 1 {
+		return usagef("-shard must be at least 1, got %d", shard)
+	}
+	if budget < 0 {
+		return usagef("-cachebudget must be at least 0 (0 = unlimited), got %d", budget)
+	}
+	return nil
+}
+
 // exitCode maps a command's error to the process exit code: 0 success,
 // 1 runtime failure, 2 usage error.
 func exitCode(err error) int {
@@ -490,6 +502,9 @@ func cmdExtended(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkShardBudget(*shardSize, *budget); err != nil {
+		return err
+	}
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
 		return err
@@ -597,6 +612,9 @@ func cmdPack(ctx context.Context, args []string) error {
 	out := fs.String("o", "chipvqa.cvqb", "packed output file")
 	check := fs.Bool("check", false, "read the pack back and verify it")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkShardBudget(*shardSize, 0); err != nil {
 		return err
 	}
 	f, err := os.Create(*out)

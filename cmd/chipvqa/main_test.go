@@ -322,6 +322,15 @@ func TestExitCodes(t *testing.T) {
 		{"extended -stream -eval -o", func() error {
 			return cmdExtended(context.Background(), []string{"-stream", "-eval", "-o", out})
 		}, 2},
+		{"extended -cachebudget -1", func() error {
+			return cmdExtended(context.Background(), []string{"-cachebudget", "-1"})
+		}, 2},
+		{"extended -stream -eval -shard 0", func() error {
+			return cmdExtended(context.Background(), []string{"-stream", "-eval", "-shard", "0"})
+		}, 2},
+		{"pack -shard 0", func() error {
+			return cmdPack(context.Background(), []string{"-shard", "0", "-o", out})
+		}, 2},
 	} {
 		if got := exitCode(tc.run()); got != tc.want {
 			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)

@@ -35,6 +35,9 @@ func cmdServe(ctx context.Context, args []string) error {
 	if fs.NArg() != 0 {
 		return usagef("usage: chipvqa serve [flags]")
 	}
+	if err := checkShardBudget(*shardSize, *budget); err != nil {
+		return err
+	}
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
 		return err

@@ -95,7 +95,6 @@ func collectWants(t *testing.T, pkg *Package) []want {
 
 func TestNoDetermCorpus(t *testing.T) { runCorpus(t, "nodeterm", NoDeterm) }
 func TestMapOrderCorpus(t *testing.T) { runCorpus(t, "maporder", MapOrder) }
-func TestPoolOwnCorpus(t *testing.T)  { runCorpus(t, "poolown", PoolOwn) }
 func TestErrDropCorpus(t *testing.T)  { runCorpus(t, "errdrop", ErrDrop) }
 func TestHotAllocCorpus(t *testing.T) { runCorpus(t, "hotalloc", HotAlloc) }
 func TestCtxFlowCorpus(t *testing.T)  { runCorpus(t, "ctxflow", CtxFlow) }

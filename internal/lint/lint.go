@@ -1,12 +1,11 @@
 // Package lint is a small stdlib-only static-analysis framework plus the
 // repo-specific analyzers that machine-check the reproduction's
-// determinism and buffer-lifecycle invariants.
+// determinism and concurrency invariants.
 //
 // The evaluation engine's core guarantee — parallel runs byte-identical
 // to serial ones (DESIGN.md §6/§7, TestTableIIDeterministicAcrossWorkers)
-// — rests on conventions: all randomness flows through internal/rng, no
-// wall clock or map-iteration order reaches report output, and pooled
-// pixel buffers obey the ownership contract of internal/visual/pool.go.
+// — rests on conventions: all randomness flows through internal/rng, and
+// no wall clock or map-iteration order reaches report output.
 // The analyzers here turn those conventions into compile-time checks run
 // by cmd/chipvqa-lint on every build (tier-1 verify).
 //
@@ -94,7 +93,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns every shipped analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapOrder, PoolOwn, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe}
+	return []*Analyzer{NoDeterm, MapOrder, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe}
 }
 
 // Run executes the analyzers over the packages and returns all findings

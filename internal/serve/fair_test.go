@@ -176,8 +176,8 @@ func TestServeSessionCapRejects(t *testing.T) {
 // TestServeImageHammerHoldsBudget hammers the image endpoint from many
 // goroutines against a tightly budgeted scene cache, concurrently with
 // streaming eval runs, and asserts the cache's high-water mark never
-// exceeded its budget — the pinned-handle render path must uphold the
-// LRU invariant under multi-tenant load.
+// exceeded its budget — the cached PNG path must uphold the LRU
+// invariant under multi-tenant load.
 func TestServeImageHammerHoldsBudget(t *testing.T) {
 	const budget = 1 << 20
 	cache := visual.NewSceneCache()

@@ -239,11 +239,10 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuestionImage is GET /v1/questions/{id}/image.png: the rendered
-// visual, optionally degraded by ?factor=. Encoding reads pixels
-// through a pinned cache handle (EncodedPNG → AcquireDownsampled) and
-// the encoded bytes are themselves budget-charged cache entries, so the
-// LRU invariant PeakBytes <= Budget holds under concurrent image
-// traffic.
+// visual, optionally degraded by ?factor=. EncodedPNG encodes the
+// cache-shared Downsampled frame and the encoded bytes are themselves
+// budget-charged cache entries, so the LRU invariant PeakBytes <= Budget
+// holds under concurrent image traffic.
 func (s *Server) handleQuestionImage(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.lookupQuestion(w, r)
 	if !ok {

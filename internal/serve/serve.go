@@ -3,8 +3,8 @@
 // question images) and run management (launch, stream, cancel) over a
 // small JSON API. It composes seams that already exist underneath —
 // the in-order eval.Observer for live per-question results, end-to-end
-// context.Context cancellation for client disconnects, pinned
-// SceneCache handles for image serving under a byte budget, and the
+// context.Context cancellation for client disconnects, the budgeted
+// SceneCache's memoized PNG encodings for image serving, and the
 // weighted-FIFO eval.WorkerPool for fair multi-tenant scheduling — so
 // everything a client observes over the wire inherits the engine's
 // determinism guarantees: for a fixed (spec, seed) the event stream

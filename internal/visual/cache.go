@@ -32,21 +32,13 @@ import (
 // run. A budget of 0 (the default, and the Default cache's setting)
 // disables eviction.
 //
-// # Ownership of evicted pixels
-//
-// Images handed out by Render/Downsampled are shared: any number of
-// callers may still hold one when its entry is evicted, so its pixel
-// buffer can never be returned to the pool — the entry is simply
-// dropped and the image becomes ordinary garbage. Callers that want
-// eviction to recycle pixels use AcquireRender/AcquireDownsampled,
-// which pin the entry and return a release func; once an evicted
-// entry's last release is called — and the image was never also handed
-// out share-style — its buffer goes back to the per-size pixel pool
-// (see pool.go for the ownership contract).
+// # Ownership
 //
 // All methods are safe for concurrent use. Returned images and slices
-// are shared; callers must treat them as read-only (use Clone for a
-// private mutable copy).
+// are shared and read-only (use Clone for a private mutable copy). Any
+// number of callers may still hold one when its entry is evicted;
+// eviction only drops the cache's reference, and the garbage collector
+// frees the value once the last holder lets go.
 type SceneCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -90,9 +82,6 @@ type cacheEntry struct {
 	weight   int64
 	computed bool // weight is known; entry participates in byte accounting
 	tracked  bool // still in the map and LRU list
-	evicted  bool // evicted while pinned; pool pixels at the last release
-	shared   bool // handed out without a release handle; never pool pixels
-	refs     int  // outstanding Acquire handles
 
 	prev, next *cacheEntry
 }
@@ -160,42 +149,11 @@ func (c *SceneCache) Downsampled(s *Scene, factor int) *image.RGBA {
 }
 
 func (c *SceneCache) image(s *Scene, factor int, compute func() *image.RGBA) *image.RGBA {
-	e := c.get(cacheKey{s, factor, artRender}, false, func() (any, int64) {
+	e := c.get(cacheKey{s, factor, artRender}, func() (any, int64) {
 		img := compute()
 		return img, int64(len(img.Pix)) + entryOverhead
 	})
 	return e.val.(*image.RGBA)
-}
-
-// AcquireRender is Render with pinned ownership: the entry cannot have
-// its pixels recycled while the handle is outstanding, and if the entry
-// is evicted under byte pressure the buffer returns to the pixel pool
-// at the final release (unless the same image was also handed out via
-// Render/Downsampled, which makes it permanently shared). The image is
-// valid only until release; release is idempotent.
-func (c *SceneCache) AcquireRender(s *Scene) (*image.RGBA, func()) {
-	return c.acquireImage(s, 1, func() *image.RGBA { return Render(s) })
-}
-
-// AcquireDownsampled is Downsampled with pinned ownership; see
-// AcquireRender. factor <= 1 pins the full-resolution render entry.
-func (c *SceneCache) AcquireDownsampled(s *Scene, factor int) (*image.RGBA, func()) {
-	if factor <= 1 {
-		return c.AcquireRender(s)
-	}
-	return c.acquireImage(s, factor, func() *image.RGBA {
-		return Downsample(c.Render(s), factor)
-	})
-}
-
-func (c *SceneCache) acquireImage(s *Scene, factor int, compute func() *image.RGBA) (*image.RGBA, func()) {
-	e := c.get(cacheKey{s, factor, artRender}, true, func() (any, int64) {
-		img := compute()
-		return img, int64(len(img.Pix)) + entryOverhead
-	})
-	var once sync.Once
-	release := func() { once.Do(func() { c.releaseRef(e) }) }
-	return e.val.(*image.RGBA), release
 }
 
 // pngResult is the cached value of an artPNG entry: the encoded bytes
@@ -209,17 +167,13 @@ type pngResult struct {
 // and encoded as PNG, memoized per (scene, factor). The HTTP image
 // endpoint of internal/serve hits this once per (scene, factor) and
 // then serves warm requests from one shared byte slice; callers must
-// treat the slice as read-only. The encoder reads pixels through a
-// pinned AcquireDownsampled handle, so under a byte budget the source
-// render stays recyclable: once the PNG bytes exist the raw pixels can
-// be evicted and pooled while the (much smaller) encoding stays hot.
+// treat the slice as read-only. The encoded pixels are the shared
+// Downsampled frame, so under a byte budget the raw pixels can be
+// evicted while the (much smaller) encoding stays hot.
 func (c *SceneCache) EncodedPNG(s *Scene, factor int) ([]byte, error) {
-	e := c.get(cacheKey{s, factor, artPNG}, false, func() (any, int64) {
-		img, release := c.AcquireDownsampled(s, factor)
+	e := c.get(cacheKey{s, factor, artPNG}, func() (any, int64) {
 		var buf bytes.Buffer
-		err := png.Encode(&buf, img)
-		release()
-		if err != nil {
+		if err := png.Encode(&buf, c.Downsampled(s, factor)); err != nil {
 			return pngResult{err: err}, entryOverhead
 		}
 		return pngResult{data: buf.Bytes()}, int64(buf.Len()) + entryOverhead
@@ -232,7 +186,7 @@ func (c *SceneCache) EncodedPNG(s *Scene, factor int) ([]byte, error) {
 // critical element of the scene, in CriticalElements order, computed
 // once per (scene, factor) instead of once per (model, question, element).
 func (c *SceneCache) CriticalLosses(s *Scene, factor int) []float64 {
-	e := c.get(cacheKey{s, factor, artLosses}, false, func() (any, int64) {
+	e := c.get(cacheKey{s, factor, artLosses}, func() (any, int64) {
 		crit := s.CriticalElements()
 		out := make([]float64, len(crit))
 		for i, el := range crit {
@@ -246,7 +200,7 @@ func (c *SceneCache) CriticalLosses(s *Scene, factor int) []float64 {
 // Criticals returns s.CriticalElements() memoized per scene, so the
 // filtered slice is built once rather than on every perception call.
 func (c *SceneCache) Criticals(s *Scene) []Element {
-	e := c.get(cacheKey{s, 0, artCriticals}, false, func() (any, int64) {
+	e := c.get(cacheKey{s, 0, artCriticals}, func() (any, int64) {
 		crit := s.CriticalElements()
 		return crit, int64(len(crit))*elementBytes + entryOverhead
 	})
@@ -254,12 +208,10 @@ func (c *SceneCache) Criticals(s *Scene) []Element {
 }
 
 // get is the single lookup path. It finds or inserts the entry for k,
-// counts the hit or miss, marks how the value is being handed out
-// (pinned vs shared — recorded before the mutex drops, so a concurrent
-// eviction can never recycle pixels a caller is about to receive),
-// computes the value outside the lock via the entry's Once, then folds
-// the weight into the byte accounting and evicts down to budget.
-func (c *SceneCache) get(k cacheKey, pin bool, compute func() (any, int64)) *cacheEntry {
+// counts the hit or miss, computes the value outside the lock via the
+// entry's Once, then folds the weight into the byte accounting and
+// evicts down to budget.
+func (c *SceneCache) get(k cacheKey, compute func() (any, int64)) *cacheEntry {
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[cacheKey]*cacheEntry)
@@ -275,11 +227,6 @@ func (c *SceneCache) get(k cacheKey, pin bool, compute func() (any, int64)) *cac
 		c.entries[k] = e
 		c.listPushFront(e)
 		c.misses++
-	}
-	if pin {
-		e.refs++
-	} else {
-		e.shared = true
 	}
 	c.mu.Unlock()
 
@@ -299,21 +246,9 @@ func (c *SceneCache) get(k cacheKey, pin bool, compute func() (any, int64)) *cac
 	return e
 }
 
-// releaseRef drops one Acquire handle. The last release of an entry
-// that was evicted while pinned returns its pixels to the pool.
-func (c *SceneCache) releaseRef(e *cacheEntry) {
-	c.mu.Lock()
-	e.refs--
-	if e.refs == 0 && e.evicted {
-		c.recycleLocked(e)
-	}
-	c.mu.Unlock()
-}
-
 // evictLocked drops cold entries until retained bytes fit the budget.
 // Entries still computing are skipped (their weight is unknown and a
-// waiter is about to read them); pinned entries are evicted from the
-// accounting immediately but keep their pixels until the last release.
+// waiter is about to read them).
 func (c *SceneCache) evictLocked() {
 	if c.budget <= 0 {
 		return
@@ -332,23 +267,6 @@ func (c *SceneCache) evictLocked() {
 		c.bytes -= e.weight
 		c.evictions++
 		c.evictedBytes += e.weight
-		if e.refs > 0 {
-			e.evicted = true
-		} else {
-			c.recycleLocked(e)
-		}
-	}
-}
-
-// recycleLocked returns an evicted entry's pixel buffer to the pool —
-// only legal when no handle is outstanding and the image was never
-// handed out share-style (shared readers may hold it indefinitely).
-func (c *SceneCache) recycleLocked(e *cacheEntry) {
-	if e.shared {
-		return
-	}
-	if img, ok := e.val.(*image.RGBA); ok {
-		ReleaseImage(img)
 	}
 }
 
@@ -381,19 +299,13 @@ func (c *SceneCache) Stats() CacheStats {
 }
 
 // Reset drops every cached artifact and zeroes the counters (the
-// budget is configuration, not a counter, and survives). Pixel buffers
-// follow the eviction ownership rules: pinned entries recycle at their
-// last release, shared images are left to the garbage collector.
+// budget is configuration, not a counter, and survives). Values already
+// handed out stay valid, exactly as under eviction.
 func (c *SceneCache) Reset() {
 	c.mu.Lock()
 	for _, e := range c.entries {
 		c.listRemove(e)
 		e.tracked = false
-		if e.refs > 0 {
-			e.evicted = true
-		} else if e.computed {
-			c.recycleLocked(e)
-		}
 	}
 	clear(c.entries)
 	c.bytes, c.peak, c.evictedBytes = 0, 0, 0
@@ -402,12 +314,11 @@ func (c *SceneCache) Reset() {
 }
 
 // Clone returns a private mutable copy of a (possibly cached) image.
-// The copy's buffer comes from the pixel pool and is copied row-by-row,
-// so cloning a sub-image view (Stride != 4*Dx) is also safe. The caller
-// owns the result and may hand it back with ReleaseImage.
+// It is copied row-by-row, so cloning a sub-image view (Stride != 4*Dx)
+// is also safe. The caller owns the result.
 func Clone(img *image.RGBA) *image.RGBA {
 	b := img.Bounds()
-	out := newRGBA(b)
+	out := image.NewRGBA(b)
 	w4 := 4 * b.Dx()
 	for y := b.Min.Y; y < b.Max.Y; y++ {
 		si := img.PixOffset(b.Min.X, y)
@@ -416,22 +327,3 @@ func Clone(img *image.RGBA) *image.RGBA {
 	}
 	return out
 }
-
-// Package-level conveniences over the Default cache.
-
-// CachedRender renders via the Default cache.
-func CachedRender(s *Scene) *image.RGBA { return Default.Render(s) }
-
-// CachedDownsample renders and downsamples via the Default cache.
-func CachedDownsample(s *Scene, factor int) *image.RGBA { return Default.Downsampled(s, factor) }
-
-// CachedCriticalLosses returns the per-critical-element legibility
-// losses via the Default cache.
-func CachedCriticalLosses(s *Scene, factor int) []float64 { return Default.CriticalLosses(s, factor) }
-
-// CachedCriticals returns the scene's critical elements via the Default
-// cache.
-func CachedCriticals(s *Scene) []Element { return Default.Criticals(s) }
-
-// CachedPNG returns the scene's encoded PNG via the Default cache.
-func CachedPNG(s *Scene, factor int) ([]byte, error) { return Default.EncodedPNG(s, factor) }

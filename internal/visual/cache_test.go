@@ -2,6 +2,7 @@ package visual
 
 import (
 	"bytes"
+	"image"
 	"sync"
 	"testing"
 )
@@ -157,76 +158,12 @@ func TestSceneCacheBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestSceneCacheAcquireRelease covers the three ownership outcomes of
-// eviction: a pinned buffer survives until its (idempotent) release and
-// is then pooled; an entry that was ever handed out share-style is
-// never pooled; and eviction while pinned defers pooling to the last
-// release.
-func TestSceneCacheAcquireRelease(t *testing.T) {
-	// Budget below any entry weight: every insert evicts itself.
-	c := NewSceneCache()
-	c.SetBudget(1)
-	img, release := c.AcquireRender(sampleScene(KindSchematic))
-	if st := c.Stats(); st.Evictions != 1 || st.Bytes != 0 {
-		t.Fatalf("self-eviction expected at insert, stats %+v", st)
-	}
-	if img.Pix == nil {
-		t.Fatal("pinned buffer recycled while its handle is outstanding")
-	}
-	release()
-	if img.Pix != nil {
-		t.Error("last release of an evicted acquired entry must pool the buffer")
-	}
-	release() // idempotent: must not double-free
-
-	// Share-style handout poisons pooling even for an acquired entry.
-	c2 := NewSceneCache()
-	s2 := sampleScene(KindDiagram)
-	img2, release2 := c2.AcquireRender(s2)
-	if c2.Render(s2) != img2 {
-		t.Fatal("acquired and shared lookups disagree on the cached image")
-	}
-	c2.SetBudget(1) // evict everything
-	release2()
-	if img2.Pix == nil {
-		t.Error("shared image pooled; share-style readers may still hold it")
-	}
-
-	// Eviction of a pinned-only entry defers pooling to release time.
-	c3 := NewSceneCache()
-	img3, release3 := c3.AcquireRender(sampleScene(KindLayout))
-	c3.SetBudget(1)
-	if st := c3.Stats(); st.Bytes != 0 || st.Evictions != 1 {
-		t.Errorf("pinned entry should leave the accounting at eviction, stats %+v", st)
-	}
-	if img3.Pix == nil {
-		t.Fatal("pinned buffer recycled at eviction instead of at release")
-	}
-	release3()
-	if img3.Pix != nil {
-		t.Error("deferred pool return did not happen at the last release")
-	}
-}
-
-func TestSceneCacheAcquireDownsampled(t *testing.T) {
-	c := NewSceneCache()
-	s := sampleScene(KindSchematic)
-	img, release := c.AcquireDownsampled(s, 8)
-	defer release()
-	if c.Downsampled(s, 8) != img {
-		t.Error("acquired and cached downsample disagree")
-	}
-	full, release1 := c.AcquireDownsampled(s, 1)
-	defer release1()
-	if full != c.Render(s) {
-		t.Error("factor <= 1 should pin the full-resolution render entry")
-	}
-}
-
 // TestSceneCacheConcurrentEviction churns a two-render budget from many
-// goroutines mixing shared and pinned lookups; the mutex must keep the
-// accounting consistent (run under -race) and peak bytes must never
-// exceed the budget.
+// goroutines mixing Render, Downsampled and EncodedPNG lookups; the
+// mutex must keep the accounting consistent (run under -race) and peak
+// bytes must never exceed the budget. Each goroutine keeps the first
+// frame it was handed and, after the churn, that frame must still equal
+// a fresh render: evicting a shared frame never overwrites its pixels.
 func TestSceneCacheConcurrentEviction(t *testing.T) {
 	w := renderWeight(t)
 	c := NewSceneCache()
@@ -235,20 +172,38 @@ func TestSceneCacheConcurrentEviction(t *testing.T) {
 		sampleScene(KindSchematic), sampleScene(KindDiagram), sampleScene(KindLayout),
 		sampleScene(KindCurve), sampleScene(KindTable), sampleScene(KindFlow),
 	}
+	type kept struct {
+		img           *image.RGBA
+		scene, factor int
+	}
+	const goroutines = 8
+	first := make([]kept, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				for _, s := range scenes {
-					if (g+i)%2 == 0 {
-						img := c.Render(s) // shared: valid even after eviction
-						_ = img.Pix[0]
-					} else {
-						img, release := c.AcquireRender(s)
-						_ = img.Pix[0]
-						release()
+				for j := range scenes {
+					si := (g + j) % len(scenes)
+					s := scenes[si]
+					var img *image.RGBA
+					factor := 1
+					switch (g + i + j) % 3 {
+					case 0:
+						img = c.Render(s)
+					case 1:
+						factor = 8
+						img = c.Downsampled(s, factor)
+					default:
+						if _, err := c.EncodedPNG(s, 8); err != nil {
+							t.Error(err)
+						}
+						continue
+					}
+					_ = img.Pix[0]
+					if first[g].img == nil {
+						first[g] = kept{img, si, factor}
 					}
 				}
 			}
@@ -261,6 +216,13 @@ func TestSceneCacheConcurrentEviction(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Error("six scenes under a two-render budget should evict")
+	}
+	for g, k := range first {
+		want := Downsample(Render(scenes[k.scene]), k.factor)
+		if ok, off := PixEqual(k.img, want); !ok {
+			t.Errorf("goroutine %d: kept %dx frame of scene %d changed at offset %d after eviction churn",
+				g, k.factor, k.scene, off)
+		}
 	}
 }
 
@@ -303,7 +265,7 @@ func TestSceneCacheConcurrent(t *testing.T) {
 
 func TestCloneIsPrivate(t *testing.T) {
 	s := sampleScene(KindSchematic)
-	orig := CachedRender(s)
+	orig := Default.Render(s)
 	cp := Clone(orig)
 	if !bytes.Equal(orig.Pix, cp.Pix) {
 		t.Fatal("clone differs from original")

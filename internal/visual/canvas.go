@@ -45,9 +45,7 @@ var (
 )
 
 // NewCanvas returns a white canvas of the given size. Width and height
-// are clamped to at least 1 pixel. The backing buffer comes from the
-// shared pixel pool; Fill re-whitens it completely, so recycled buffers
-// never leak stale pixels.
+// are clamped to at least 1 pixel.
 func NewCanvas(w, h int) *Canvas {
 	if w < 1 {
 		w = 1
@@ -55,7 +53,7 @@ func NewCanvas(w, h int) *Canvas {
 	if h < 1 {
 		h = 1
 	}
-	img := newRGBA(image.Rect(0, 0, w, h))
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
 	c := &Canvas{img: img}
 	c.Fill(ColorWhite)
 	return c

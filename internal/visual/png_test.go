@@ -75,12 +75,12 @@ func TestSceneCacheEncodedPNGMemoizedAndDeterministic(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Error("EncodedPNG differs across caches for the same scene")
 	}
-	viaDefault, err := CachedPNG(s, 4)
+	viaDefault, err := Default.EncodedPNG(s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, viaDefault) {
-		t.Error("CachedPNG differs from a private cache's encoding")
+		t.Error("Default.EncodedPNG differs from a private cache's encoding")
 	}
 }
 

@@ -585,29 +585,3 @@ func TestKernelDifferentialBuilders(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolRoundTrip checks the pixel pool lifecycle: a released buffer
-// is reused and comes back fully re-whitened through NewCanvas.
-func TestPoolRoundTrip(t *testing.T) {
-	c := NewCanvas(64, 48)
-	c.Fill(ColorBlack)
-	img := c.Image()
-	ReleaseImage(img)
-	if img.Pix != nil {
-		t.Fatal("ReleaseImage should nil the Pix of the released image")
-	}
-	c2 := NewCanvas(64, 48) // may reuse the dirty buffer
-	for i, p := range c2.Image().Pix {
-		if p != 255 {
-			t.Fatalf("recycled canvas not re-whitened at byte %d", i)
-		}
-	}
-	// Release of sub-image views and nil must be safe no-ops.
-	ReleaseImage(nil)
-	base := NewCanvas(20, 20).Image()
-	sub := base.SubImage(image.Rect(2, 2, 10, 10)).(*image.RGBA)
-	ReleaseImage(sub)
-	if sub.Pix == nil {
-		t.Fatal("sub-image view must not be poolable")
-	}
-}

@@ -27,9 +27,8 @@ type raster interface {
 // Render rasterises a scene to an RGBA image at the scene's logical
 // resolution. Every element type has a drawing routine, so the output is
 // a real picture of the figure — the same picture a human (or a real VLM)
-// would be handed. The backing buffer comes from the shared pixel pool;
-// callers that own the result (it is not cache-shared) may hand it back
-// with ReleaseImage once done.
+// would be handed. The caller owns the result; use SceneCache.Render for
+// a shared, memoized frame.
 func Render(s *Scene) *image.RGBA {
 	c := NewCanvas(s.Width, s.Height)
 	renderScene(c, s)

@@ -3,6 +3,7 @@ package visual
 import (
 	"image"
 	"math/bits"
+	"sync"
 )
 
 // Downsample reduces an image by an integer factor with box filtering.
@@ -19,21 +20,13 @@ import (
 // whose factor x factor block lies fully inside the source — runs with
 // fixed-length branch-free inner loops; only the right and bottom edge
 // strips (non-divisible sizes) take the clamped path. Powers of two (the
-// only factors the ablation uses: 8, 16) divide by shift.
+// only factors the ablation uses: 8, 16) divide by shift. factor <= 1
+// returns a Clone.
 func Downsample(src *image.RGBA, factor int) *image.RGBA {
-	b := src.Bounds()
 	if factor <= 1 {
-		// Copy row-by-row: a sub-image view's Stride exceeds 4*Dx(), so
-		// the old whole-buffer copy sheared its rows.
-		out := newRGBA(b)
-		w4 := 4 * b.Dx()
-		for y := b.Min.Y; y < b.Max.Y; y++ {
-			si := src.PixOffset(b.Min.X, y)
-			di := out.PixOffset(b.Min.X, y)
-			copy(out.Pix[di:di+w4], src.Pix[si:si+w4])
-		}
-		return out
+		return Clone(src)
 	}
+	b := src.Bounds()
 	srcW, srcH := b.Dx(), b.Dy()
 	w := (srcW + factor - 1) / factor
 	h := (srcH + factor - 1) / factor
@@ -45,10 +38,10 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 	}
 	if srcW == 0 || srcH == 0 {
 		// Degenerate empty source: a zeroed 1x1, matching the reference's
-		// n==0 guard. image.NewRGBA (not the pool) guarantees zero bytes.
+		// n==0 guard.
 		return image.NewRGBA(image.Rect(0, 0, w, h))
 	}
-	dst := newRGBA(image.Rect(0, 0, w, h))
+	dst := image.NewRGBA(image.Rect(0, 0, w, h))
 
 	wFull := srcW / factor       // output columns with a full-width block
 	tailW := srcW - wFull*factor // width of the right edge strip (0 if divisible)
@@ -126,6 +119,19 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 	}
 	return dst
 }
+
+// accPool recycles the per-row accumulator Downsample uses, so the warm
+// downsample path allocates only its output image.
+var accPool sync.Pool
+
+func getAcc(n int) []uint32 {
+	if s, _ := accPool.Get().([]uint32); cap(s) >= n {
+		return s[:n]
+	}
+	return make([]uint32, n)
+}
+
+func putAcc(s []uint32) { accPool.Put(s) }
 
 // LegibilityLoss estimates, for a downsampling factor, the fraction of
 // fine detail that becomes unreadable for an element of the given

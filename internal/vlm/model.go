@@ -110,11 +110,11 @@ func (m *SimulatedVLM) perceives(q *dataset.Question, factor int) bool {
 	if factor <= 1 || q.Visual == nil {
 		return true
 	}
-	crit := visual.CachedCriticals(q.Visual)
+	crit := visual.Default.Criticals(q.Visual)
 	if len(crit) == 0 {
 		return true
 	}
-	losses := visual.CachedCriticalLosses(q.Visual, factor)
+	losses := visual.Default.CriticalLosses(q.Visual, factor)
 	scale := m.perception.LossScaleBase - m.perception.LossScalePerception*m.profile.Perception
 	recovered := 0
 	for i, e := range crit {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run the repo's static gates: gofmt formatting plus the concurrency /
-# determinism / buffer-lifecycle analyzers (cmd/chipvqa-lint) over the
+# determinism / error-handling analyzers (cmd/chipvqa-lint) over the
 # whole module. Part of tier-1 verify; see DESIGN.md §9 for what each
 # analyzer enforces and the `//lint:ignore <analyzer> <reason>`
 # suppression policy.
