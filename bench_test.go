@@ -17,7 +17,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/manuf"
 	"repro/internal/rng"
 	"repro/internal/visual"
 	"repro/internal/vlm"
@@ -165,11 +164,10 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 	}
 }
 
-// Hot-path micro-benchmarks (DESIGN.md §12): judging every stored
-// (question, response) pair of one report and re-normalising the
-// canonical golden texts. Both must report 0 allocs/op in the steady
-// state — TestJudgeZeroAlloc and TestNormalizeZeroAlloc pin the same
-// property as hard test failures.
+// Hot-path micro-benchmark (DESIGN.md §12): judging every stored
+// (question, response) pair of one report. It must report 0 allocs/op
+// in the steady state — TestJudgeZeroAlloc pins the same property as a
+// hard test failure.
 func BenchmarkJudgeAll(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	rep, err := suite.EvaluateContext(context.Background(), "GPT4o")
@@ -189,21 +187,6 @@ func BenchmarkJudgeAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, qr := range rep.Results {
 			judge.Correct(qByID[qr.QuestionID], qr.Response)
-		}
-	}
-}
-
-func BenchmarkNormalizeCanonical(b *testing.B) {
-	suite := chipvqa.MustNewSuite()
-	var norms []string
-	for _, q := range suite.Benchmark.Questions {
-		norms = append(norms, eval.Normalize(q.Golden.Text))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range norms {
-			_ = eval.Normalize(s)
 		}
 	}
 }
@@ -553,8 +536,8 @@ func BenchmarkOoOvsInOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("OoO %d cycles (IPC %.2f) vs in-order %d cycles (speedup %.2fx)",
-		ooo.Cycles, ooo.IPC(), inOrder, float64(inOrder)/float64(ooo.Cycles))
+	b.Logf("OoO %d cycles vs in-order %d cycles (speedup %.2fx)",
+		ooo.Cycles, inOrder, float64(inOrder)/float64(ooo.Cycles))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := arch.SimulateOoO(prog, cfg); err != nil {
@@ -563,36 +546,15 @@ func BenchmarkOoOvsInOrder(b *testing.B) {
 	}
 }
 
-// Supporting substrate benchmark — aerial-image OPC: measure the
-// proximity effect on a dense grating and the mask bias that corrects
-// it (the physics behind the m01 RET question).
-func BenchmarkAerialOPC(b *testing.B) {
-	sim := manuf.NewAerialSimulator(manuf.KrF())
-	const cd, pitch = 150.0, 400.0
-	errBefore := sim.ProximityError(cd, pitch, 5)
-	bias, ok := sim.ApplyBiasOPC(cd, pitch, 5)
-	if !ok {
-		b.Fatal("OPC did not converge")
-	}
-	b.Logf("dense grating CD error %.1f nm; corrective mask bias %.1f nm", errBefore, bias)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := sim.ApplyBiasOPC(cd, pitch, 5); !ok {
-			b.Fatal("OPC did not converge")
-		}
-	}
-}
-
 // Supporting micro-benchmarks: the raster pipeline the real benchmark
-// images flow through (render + downsample + patch encoding).
+// images flow through (render + downsample).
 func BenchmarkRenderPipeline(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	q := suite.Benchmark.Questions[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		img := visual.Render(q.Visual)
-		small := visual.Downsample(img, 8)
-		_ = visual.EncodePatches(small, 16)
+		_ = visual.Downsample(img, 8)
 	}
 }
 
@@ -663,8 +625,7 @@ func BenchmarkRenderPipelineCached(b *testing.B) {
 	cache := visual.NewSceneCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		small := cache.Downsampled(q.Visual, 8)
-		_ = visual.EncodePatches(small, 16)
+		_ = cache.Downsampled(q.Visual, 8)
 	}
 }
 

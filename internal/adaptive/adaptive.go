@@ -103,7 +103,6 @@ func gridTheta(k int) float64 {
 // The zero value is not ready; use NewEstimator.
 type Estimator struct {
 	logpost [gridN]float64
-	n       int
 }
 
 // NewEstimator returns an estimator holding only the N(0,1) prior.
@@ -131,11 +130,7 @@ func (e *Estimator) Observe(p ItemParams, correct bool) {
 			e.logpost[k] += logSigmoid(-z)
 		}
 	}
-	e.n++
 }
-
-// Observations reports how many outcomes have been folded in.
-func (e *Estimator) Observations() int { return e.n }
 
 // Estimate returns the posterior mean ability and its posterior
 // standard deviation. Both are always finite: the prior bounds the

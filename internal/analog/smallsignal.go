@@ -20,14 +20,6 @@ func GmFromBias(id, vov float64) float64 {
 	return 2 * id / vov
 }
 
-// RoFromLambda returns ro = 1/(lambda*ID).
-func RoFromLambda(lambda, id float64) float64 {
-	if lambda == 0 || id == 0 {
-		return math.Inf(1)
-	}
-	return 1 / (lambda * id)
-}
-
 // CommonSourceGain returns the small-signal voltage gain of a
 // common-source stage with drain resistor RD: Av = -gm*(RD || ro).
 func CommonSourceGain(m MOSFET, rd float64) float64 {
@@ -67,12 +59,6 @@ func DiffPairGain(m MOSFET, rd float64) float64 {
 	return -m.Gm * ParallelR(rd, m.Ro)
 }
 
-// CascodeOutputResistance returns the output resistance of a cascode:
-// Rout = ro2 + ro1 + gm2*ro2*ro1 ~ gm2*ro2*ro1.
-func CascodeOutputResistance(m1, m2 MOSFET) float64 {
-	return m2.Ro + m1.Ro + m2.Gm*m2.Ro*m1.Ro
-}
-
 // MirrorOutputCurrent returns the output current of a current mirror
 // whose output device is scaled (W/L)out / (W/L)ref times the reference.
 func MirrorOutputCurrent(iref, ratio float64) float64 { return iref * ratio }
@@ -104,14 +90,6 @@ func PipelineResidueGain(bitsPerStage int) float64 {
 
 // ClosedLoopGain returns A/(1+A*beta), the negative-feedback relation.
 func ClosedLoopGain(a, beta float64) float64 { return a / (1 + a*beta) }
-
-// LoopGain returns T = A*beta.
-func LoopGain(a, beta float64) float64 { return a * beta }
-
-// ClosedLoopBandwidth returns the closed-loop -3 dB frequency of a
-// single-pole amplifier under feedback: f_p*(1 + A0*beta); equivalently
-// GBW / closed-loop gain for large loop gain.
-func ClosedLoopBandwidth(fp, a0, beta float64) float64 { return fp * (1 + a0*beta) }
 
 // GainBandwidthProduct returns A0 * fp of a single-pole amplifier.
 func GainBandwidthProduct(a0, fp float64) float64 { return a0 * fp }

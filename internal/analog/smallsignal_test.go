@@ -13,12 +13,6 @@ func TestGmRoFromBias(t *testing.T) {
 	if gm := GmFromBias(1e-3, 0); gm != 0 {
 		t.Errorf("gm with zero Vov = %v", gm)
 	}
-	if ro := RoFromLambda(0.1, 1e-3); math.Abs(ro-10000) > 1e-6 {
-		t.Errorf("ro = %v, want 10k", ro)
-	}
-	if ro := RoFromLambda(0, 1e-3); !math.IsInf(ro, 1) {
-		t.Errorf("ro with lambda=0 = %v", ro)
-	}
 }
 
 func TestQuickCommonSourceMatchesMNA(t *testing.T) {
@@ -66,19 +60,6 @@ func TestCommonGatePositive(t *testing.T) {
 	}
 }
 
-func TestCascodeOutputResistance(t *testing.T) {
-	m := MOSFET{Gm: 1e-3, Ro: 20000}
-	rout := CascodeOutputResistance(m, m)
-	// Dominated by gm*ro*ro = 1e-3 * 2e4 * 2e4 = 400k, plus 2*ro.
-	want := 20000.0 + 20000 + 1e-3*20000*20000
-	if math.Abs(rout-want) > 1 {
-		t.Errorf("cascode rout %v, want %v", rout, want)
-	}
-	if rout < 10*m.Ro {
-		t.Error("cascode should multiply output resistance")
-	}
-}
-
 func TestOpAmpGains(t *testing.T) {
 	if g := InvertingOpAmpGain(1000, 10000); g != -10 {
 		t.Errorf("inverting %v", g)
@@ -111,15 +92,6 @@ func TestFeedbackRelations(t *testing.T) {
 	acl := ClosedLoopGain(1e6, 0.01)
 	if math.Abs(acl-100) > 0.2 {
 		t.Errorf("closed loop %v, want ~100", acl)
-	}
-	if lg := LoopGain(1000, 0.01); lg != 10 {
-		t.Errorf("loop gain %v", lg)
-	}
-	// Gain-bandwidth conservation: closed-loop bandwidth extends by
-	// 1 + T.
-	bw := ClosedLoopBandwidth(1e3, 1000, 0.01)
-	if math.Abs(bw-1e3*11) > 1 {
-		t.Errorf("closed-loop bandwidth %v", bw)
 	}
 	if gbw := GainBandwidthProduct(1000, 1e3); gbw != 1e6 {
 		t.Errorf("GBW %v", gbw)

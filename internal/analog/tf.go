@@ -19,69 +19,6 @@ func (p Poly) Eval(s complex128) complex128 {
 	return acc
 }
 
-// Degree returns the polynomial degree ignoring trailing zero
-// coefficients.
-func (p Poly) Degree() int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] != 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-// Roots finds all complex roots with the Durand–Kerner iteration,
-// adequate for the low-order transfer functions the benchmark uses.
-func (p Poly) Roots() []complex128 {
-	deg := p.Degree()
-	if deg == 0 {
-		return nil
-	}
-	// Normalise.
-	c := make([]complex128, deg+1)
-	lead := complex(p[deg], 0)
-	for i := 0; i <= deg; i++ {
-		c[i] = complex(p[i], 0) / lead
-	}
-	f := func(s complex128) complex128 {
-		var acc complex128
-		for i := deg; i >= 0; i-- {
-			acc = acc*s + c[i]
-		}
-		return acc
-	}
-	roots := make([]complex128, deg)
-	seed := complex(0.4, 0.9)
-	cur := complex(1, 0)
-	for i := range roots {
-		cur *= seed
-		roots[i] = cur
-	}
-	for iter := 0; iter < 500; iter++ {
-		var maxStep float64
-		for i := range roots {
-			denom := complex(1, 0)
-			for j := range roots {
-				if i != j {
-					denom *= roots[i] - roots[j]
-				}
-			}
-			if denom == 0 {
-				denom = complex(1e-12, 0)
-			}
-			step := f(roots[i]) / denom
-			roots[i] -= step
-			if m := cmplx.Abs(step); m > maxStep {
-				maxStep = m
-			}
-		}
-		if maxStep < 1e-12 {
-			break
-		}
-	}
-	return roots
-}
-
 // TransferFunction is a rational function H(s) = Num(s)/Den(s).
 type TransferFunction struct {
 	Num Poly
@@ -105,12 +42,6 @@ func (h TransferFunction) DCGain() float64 {
 	}
 	return h.Num[0] / h.Den[0]
 }
-
-// Poles returns the roots of the denominator.
-func (h TransferFunction) Poles() []complex128 { return h.Den.Roots() }
-
-// Zeros returns the roots of the numerator.
-func (h TransferFunction) Zeros() []complex128 { return h.Num.Roots() }
 
 // MagnitudeDB returns 20*log10 |H(j omega)|.
 func (h TransferFunction) MagnitudeDB(omega float64) float64 {

@@ -20,15 +20,6 @@ func TestCacheGeometry(t *testing.T) {
 	if s := cfg.Sets(); s != 128 {
 		t.Errorf("sets = %d, want 128", s)
 	}
-	if b := cfg.IndexBits(); b != 7 {
-		t.Errorf("index bits = %d, want 7", b)
-	}
-	if b := cfg.OffsetBits(); b != 6 {
-		t.Errorf("offset bits = %d, want 6", b)
-	}
-	if b := cfg.TagBits(32); b != 19 {
-		t.Errorf("tag bits = %d, want 19", b)
-	}
 }
 
 func TestCacheConfigValidation(t *testing.T) {
@@ -55,8 +46,8 @@ func TestColdMissThenHit(t *testing.T) {
 	if !c.Access(0x4f) {
 		t.Error("same-block access missed")
 	}
-	if c.MissRate() != 1.0/3 {
-		t.Errorf("miss rate %v", c.MissRate())
+	if c.Hits != 2 || c.Misses != 1 {
+		t.Errorf("hits/misses %d/%d, want 2/1", c.Hits, c.Misses)
 	}
 }
 
@@ -122,16 +113,6 @@ func TestQuickMissesBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStrideTrace(t *testing.T) {
-	tr := StrideTrace(0x100, 64, 4)
-	want := []uint64{0x100, 0x140, 0x180, 0x1c0}
-	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("trace %v, want %v", tr, want)
-		}
 	}
 }
 

@@ -52,20 +52,11 @@ func fuClassOf(op OpClass) FUClass {
 
 // OoOResult summarises one out-of-order simulation.
 type OoOResult struct {
-	Instructions int
-	Cycles       int
+	Cycles int
 	// IssueCycle[i] is the cycle instruction i starts executing.
 	IssueCycle []int
 	// CompleteCycle[i] is the cycle instruction i produces its result.
 	CompleteCycle []int
-}
-
-// IPC returns instructions per cycle.
-func (r OoOResult) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instructions) / float64(r.Cycles)
 }
 
 // SimulateOoO schedules the program on the out-of-order core: an
@@ -76,7 +67,7 @@ func (r OoOResult) IPC() float64 {
 // memory is otherwise perfectly disambiguated.
 func SimulateOoO(prog []Instr, cfg OoOConfig) (OoOResult, error) {
 	n := len(prog)
-	res := OoOResult{Instructions: n}
+	var res OoOResult
 	if n == 0 {
 		return res, nil
 	}
@@ -176,7 +167,7 @@ func InOrderBaselineCycles(prog []Instr, cfg OoOConfig) (int, error) {
 	// Serialise by adding a chain dependency through a virtual register:
 	// simpler: run the scheduler but force oldest-first single issue and
 	// require program order for issue.
-	res := OoOResult{Instructions: n,
+	res := OoOResult{
 		IssueCycle:    make([]int, n),
 		CompleteCycle: make([]int, n),
 	}

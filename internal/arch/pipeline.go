@@ -194,10 +194,6 @@ func CriticalPathFrequency(stageNS []float64, overheadNS float64) float64 {
 	return 1000 / cycle // ns -> MHz
 }
 
-// SpeedupIdealPipeline returns the ideal speedup of an n-stage pipeline
-// over a single-cycle machine on a long instruction stream.
-func SpeedupIdealPipeline(stages int) float64 { return float64(stages) }
-
 // Format renders an instruction like "lw r1, 0(r2)".
 func (i Instr) Format() string {
 	if i.Label != "" {

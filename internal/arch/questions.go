@@ -213,7 +213,7 @@ func Generate() []*dataset.Question {
 	}
 	// ar13: virtual address translation.
 	{
-		cfg := VMConfig{PageSize: 4096, VirtualBits: 16, PhysicalBits: 15}
+		cfg := VMConfig{PageSize: 4096}
 		pt := map[uint64]uint64{0x0: 0x2, 0x1: 0x7, 0x2: 0x4, 0x3: 0x0}
 		va := uint64(0x1abc)
 		pa, err := cfg.Translate(va, pt)

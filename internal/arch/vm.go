@@ -4,22 +4,11 @@ import "fmt"
 
 // VMConfig describes a paged virtual memory system.
 type VMConfig struct {
-	PageSize     int // bytes, power of two
-	VirtualBits  int
-	PhysicalBits int
+	PageSize int // bytes, power of two
 }
 
 // OffsetBits returns the page-offset width.
 func (c VMConfig) OffsetBits() int { return log2i(c.PageSize) }
-
-// VPNBits returns the virtual page number width.
-func (c VMConfig) VPNBits() int { return c.VirtualBits - c.OffsetBits() }
-
-// PFNBits returns the physical frame number width.
-func (c VMConfig) PFNBits() int { return c.PhysicalBits - c.OffsetBits() }
-
-// PageTableEntries returns the number of entries of a flat page table.
-func (c VMConfig) PageTableEntries() int { return 1 << c.VPNBits() }
 
 // Split decomposes a virtual address into (vpn, offset).
 func (c VMConfig) Split(va uint64) (vpn, offset uint64) {
@@ -89,14 +78,4 @@ func (t *TLB) Lookup(vpn uint64, pageTable map[uint64]uint64) (uint64, bool, err
 	}
 	t.slots[victim] = tlbSlot{valid: true, vpn: vpn, pfn: pfn, used: t.tick}
 	return pfn, false, nil
-}
-
-// MultiLevelEntries returns the per-level entry counts of a multi-level
-// page table given the per-level index bit widths.
-func MultiLevelEntries(levelBits []int) []int {
-	out := make([]int, len(levelBits))
-	for i, b := range levelBits {
-		out[i] = 1 << b
-	}
-	return out
 }

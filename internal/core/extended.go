@@ -30,22 +30,3 @@ func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 	}
 	return b, nil
 }
-
-// SplitTrainTest partitions a benchmark into a training and a test split
-// by taking every k-th question into the test set (k = 1/testFraction),
-// preserving category balance because questions are grouped by category.
-func SplitTrainTest(b *dataset.Benchmark, testEvery int) (train, test *dataset.Benchmark) {
-	if testEvery < 2 {
-		testEvery = 2
-	}
-	train = &dataset.Benchmark{Name: b.Name + "-train"}
-	test = &dataset.Benchmark{Name: b.Name + "-test"}
-	for i, q := range b.Questions {
-		if i%testEvery == 0 {
-			test.Questions = append(test.Questions, q)
-		} else {
-			train.Questions = append(train.Questions, q)
-		}
-	}
-	return train, test
-}

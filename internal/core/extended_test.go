@@ -132,35 +132,6 @@ func TestExtendedChoicesDistinct(t *testing.T) {
 	}
 }
 
-func TestSplitTrainTest(t *testing.T) {
-	b, err := BuildExtended("split", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := SplitTrainTest(b, 4)
-	if train.Len()+test.Len() != b.Len() {
-		t.Fatalf("split loses questions: %d + %d != %d", train.Len(), test.Len(), b.Len())
-	}
-	if test.Len() != (b.Len()+3)/4 {
-		t.Errorf("test size %d", test.Len())
-	}
-	// Disjoint.
-	ids := make(map[string]bool)
-	for _, q := range train.Questions {
-		ids[q.ID] = true
-	}
-	for _, q := range test.Questions {
-		if ids[q.ID] {
-			t.Errorf("ID %s in both splits", q.ID)
-		}
-	}
-	// Degenerate testEvery clamps.
-	tr2, te2 := SplitTrainTest(b, 0)
-	if tr2.Len()+te2.Len() != b.Len() {
-		t.Error("clamped split loses questions")
-	}
-}
-
 func TestExtendedScales(t *testing.T) {
 	for _, n := range []int{1, 13, 40} {
 		b, err := BuildExtended(fmt.Sprintf("s%d", n), n)

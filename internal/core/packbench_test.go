@@ -20,7 +20,7 @@ func BenchmarkReadPack10k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.ReadPack(bytes.NewReader(raw)); err != nil {
+		if _, err := dataset.ReadPackBytes(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

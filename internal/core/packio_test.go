@@ -17,8 +17,12 @@ import (
 func packBytes(t *testing.T, b *dataset.Benchmark) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := dataset.WritePack(&buf, b); err != nil {
-		t.Fatalf("WritePack: %v", err)
+	pw := dataset.NewPackWriter(&buf, b.Name)
+	if err := pw.WriteShard(dataset.Shard{Questions: b.Questions}); err != nil {
+		t.Fatalf("WriteShard: %v", err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -34,9 +38,9 @@ func TestPackRoundTripByteIdentical(t *testing.T) {
 		t.Fatalf("BuildExtended: %v", err)
 	}
 	first := packBytes(t, built)
-	loaded, err := dataset.ReadPack(bytes.NewReader(first))
+	loaded, err := dataset.ReadPackBytes(first)
 	if err != nil {
-		t.Fatalf("ReadPack: %v", err)
+		t.Fatalf("ReadPackBytes: %v", err)
 	}
 	if loaded.Name != built.Name {
 		t.Errorf("name = %q, want %q", loaded.Name, built.Name)
@@ -56,9 +60,9 @@ func TestPackRoundTripStandardBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildBenchmark: %v", err)
 	}
-	loaded, err := dataset.ReadPack(bytes.NewReader(packBytes(t, built)))
+	loaded, err := dataset.ReadPackBytes(packBytes(t, built))
 	if err != nil {
-		t.Fatalf("ReadPack: %v", err)
+		t.Fatalf("ReadPackBytes: %v", err)
 	}
 	if !bytes.Equal(benchmarkJSON(t, built), benchmarkJSON(t, loaded)) {
 		t.Error("loaded benchmark not JSON-identical to built benchmark")

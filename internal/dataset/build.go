@@ -118,19 +118,3 @@ func DistinctOptions(golden string, candidates ...string) [3]string {
 	}
 	return out
 }
-
-// NewSAExpression assembles a short-answer question whose golden answer
-// is a boolean expression compared canonically by the judge.
-func NewSAExpression(id string, cat Category, topic, prompt string, scene *visual.Scene,
-	expr string, difficulty float64) *Question {
-	return &Question{
-		ID:         id,
-		Category:   cat,
-		Type:       ShortAnswer,
-		Topic:      topic,
-		Prompt:     prompt,
-		Visual:     scene,
-		Difficulty: difficulty,
-		Golden:     Answer{Kind: AnswerExpression, Text: expr},
-	}
-}

@@ -26,7 +26,7 @@
 // collapse to one- or two-byte references.
 //
 // Because question records never mutate the table, each one is
-// independently decodable once the table is built — ReadPack exploits
+// independently decodable once the table is built — ReadPackBytes exploits
 // that with a two-pass whole-buffer load (scan frames and verify the
 // trailer, then decode records on every CPU), which is where the
 // codec's cold-load speedup over fold regeneration comes from.
@@ -405,9 +405,6 @@ func NewPackReader(r io.Reader) (*PackReader, error) {
 
 // Name returns the benchmark name from the header.
 func (pr *PackReader) Name() string { return pr.name }
-
-// Count returns the number of questions decoded so far.
-func (pr *PackReader) Count() int { return int(pr.read) }
 
 // nextPayload returns the next question-record payload (without its
 // leading type byte) as a string, folding every record into the
@@ -837,53 +834,16 @@ func decodeQuestion(payload string, tab []string, alloc *packAlloc) (*Question, 
 	return q, nil
 }
 
-// WritePack serialises a whole benchmark to w in pack format.
-func WritePack(w io.Writer, b *Benchmark) error {
-	pw := NewPackWriter(w, b.Name)
-	for _, q := range b.Questions {
-		if err := pw.WriteQuestion(q); err != nil {
-			return err
-		}
-	}
-	return pw.Close()
-}
-
-// ReadPack loads a whole benchmark previously written in pack format.
-//
-// Unlike StreamPack it buffers the entire stream: the result holds
-// every question anyway, and decoding against one contiguous buffer is
-// what lets inline strings alias the image instead of being copied
-// record by record. The frame scan verifies the trailer first, then
-// question records — which never mutate the intern table — decode on
-// one goroutine per CPU, partitioned by index range so the result is
-// identical regardless of parallelism.
-func ReadPack(r io.Reader) (*Benchmark, error) {
-	data, err := slurp(r)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: pack: reading stream: %w", err)
-	}
-	return parsePack(data, runtime.GOMAXPROCS(0))
-}
-
-// ReadPackBytes decodes a pack image already held in memory — the
-// fastest cold-load path when the caller has the file bytes (e.g. from
-// os.ReadFile), since it skips the stream copy ReadPack must make.
+// ReadPackBytes loads a whole benchmark from a pack image already held
+// in memory (e.g. from os.ReadFile) — the fastest cold-load path.
+// Decoding against one contiguous buffer lets inline strings alias the
+// image instead of being copied record by record. The frame scan
+// verifies the trailer first, then question records — which never
+// mutate the intern table — decode on one goroutine per CPU,
+// partitioned by index range so the result is identical regardless of
+// parallelism.
 func ReadPackBytes(data []byte) (*Benchmark, error) {
 	return parsePack(data, runtime.GOMAXPROCS(0))
-}
-
-// slurp reads r to EOF, sizing the buffer up front when the reader can
-// report its length — io.ReadAll's doubling growth would copy a large
-// pack several times over.
-func slurp(r io.Reader) ([]byte, error) {
-	if sized, ok := r.(interface{ Len() int }); ok {
-		data := make([]byte, sized.Len())
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	return io.ReadAll(r)
 }
 
 // parsePack decodes a whole pack image with the given decode
@@ -1011,7 +971,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 // shardSize questions, mirroring core.StreamExtended's delivery
 // contract: shards arrive in order on the calling goroutine and the
 // Questions slice must not be retained after yield returns. Unlike
-// ReadPack it reads and decodes incrementally — peak memory stays
+// ReadPackBytes it reads and decodes incrementally — peak memory stays
 // bounded by one shard plus the intern table, which is the point of
 // streaming.
 func StreamPack(r io.Reader, shardSize int, yield func(Shard) error) error {

@@ -109,7 +109,7 @@ func TestPackEveryByteFlip(t *testing.T) {
 			continue
 		}
 		var reenc bytes.Buffer
-		if err := WritePack(&reenc, b); err != nil {
+		if err := writePack(&reenc, b); err != nil {
 			t.Fatalf("re-encoding decode of flip at byte %d: %v", i, err)
 		}
 		if bytes.Equal(reenc.Bytes(), good) {
@@ -126,8 +126,8 @@ func TestPackEveryByteFlip(t *testing.T) {
 // after the checksum, which ReadPackBytes rejects).
 func FuzzPackCorruption(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WritePack(&buf, fixtureBenchmark()); err != nil {
-		f.Fatalf("WritePack: %v", err)
+	if err := writePack(&buf, fixtureBenchmark()); err != nil {
+		f.Fatalf("writePack: %v", err)
 	}
 	good := buf.Bytes()
 	f.Add(good)

@@ -60,10 +60,19 @@ func fixtureBenchmark() *Benchmark {
 func fixturePack(t *testing.T, b *Benchmark) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WritePack(&buf, b); err != nil {
-		t.Fatalf("WritePack: %v", err)
+	if err := writePack(&buf, b); err != nil {
+		t.Fatalf("writePack: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// writePack serialises a whole benchmark as one shard.
+func writePack(w io.Writer, b *Benchmark) error {
+	pw := NewPackWriter(w, b.Name)
+	if err := pw.WriteShard(Shard{Questions: b.Questions}); err != nil {
+		return err
+	}
+	return pw.Close()
 }
 
 // TestPackFixtureRoundTrip checks full value fidelity on the hand-built
@@ -72,9 +81,9 @@ func fixturePack(t *testing.T, b *Benchmark) []byte {
 func TestPackFixtureRoundTrip(t *testing.T) {
 	b := fixtureBenchmark()
 	first := fixturePack(t, b)
-	loaded, err := ReadPack(bytes.NewReader(first))
+	loaded, err := ReadPackBytes(first)
 	if err != nil {
-		t.Fatalf("ReadPack: %v", err)
+		t.Fatalf("ReadPackBytes: %v", err)
 	}
 	if loaded.Name != b.Name {
 		t.Errorf("name = %q, want %q", loaded.Name, b.Name)
@@ -133,7 +142,7 @@ func TestPackInterningReusesStrings(t *testing.T) {
 }
 
 // TestParsePackParallelMatchesSerial forces the worker-pool decode path
-// (ReadPack only engages it when GOMAXPROCS > 1) and checks it yields
+// (ReadPackBytes only engages it when GOMAXPROCS > 1) and checks it yields
 // exactly the sequential result, and that decode errors still surface.
 func TestParsePackParallelMatchesSerial(t *testing.T) {
 	b := fixtureBenchmark()
@@ -193,7 +202,7 @@ func TestPackRejectsBadHeader(t *testing.T) {
 func TestPackRejectsTruncation(t *testing.T) {
 	good := fixturePack(t, fixtureBenchmark())
 	for _, n := range []int{3, 10, len(good) / 2, len(good) - 1} {
-		if _, err := ReadPack(bytes.NewReader(good[:n])); err == nil {
+		if _, err := ReadPackBytes(good[:n]); err == nil {
 			t.Errorf("truncation to %d bytes went undetected", n)
 		}
 	}
@@ -207,7 +216,7 @@ func TestPackDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{len(good) / 3, len(good) / 2, len(good) - 5} {
 		bad := bytes.Clone(good)
 		bad[pos] ^= 0x40
-		if _, err := ReadPack(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadPackBytes(bad); err == nil {
 			t.Errorf("corruption at byte %d went undetected", pos)
 		}
 	}

@@ -145,11 +145,14 @@ func (jq jsonQuestion) toQuestion() (*Question, error) {
 	q.Golden.Text = jq.Golden.Text
 	q.Golden.Accept = jq.Golden.Accept
 	if q.Visual != nil && jq.VisualKind != "" {
-		k, err := visual.ParseKind(jq.VisualKind)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", jq.ID, err)
+		k := 0
+		for k < visual.NumKinds && visual.Kind(k).String() != jq.VisualKind {
+			k++
 		}
-		q.Visual.Kind = k
+		if k == visual.NumKinds {
+			return nil, fmt.Errorf("dataset: %s: unknown visual kind %q", jq.ID, jq.VisualKind)
+		}
+		q.Visual.Kind = visual.Kind(k)
 	}
 	return q, nil
 }

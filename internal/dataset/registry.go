@@ -94,15 +94,3 @@ func Generators() []Generator {
 	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
 	return out
 }
-
-// GeneratorFor looks up the generator registered for a category.
-func GeneratorFor(c Category) (Generator, bool) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, g := range registry.gens {
-		if g.Category == c {
-			return g, true
-		}
-	}
-	return Generator{}, false
-}

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"strings"
 	"unicode"
 )
 
@@ -121,7 +120,3 @@ func sqrt(x float64) float64 {
 	}
 	return z
 }
-
-// WordCount counts whitespace-separated words, a secondary prompt
-// complexity signal used by the simulated models.
-func WordCount(s string) int { return len(strings.Fields(s)) }

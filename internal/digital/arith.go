@@ -1,18 +1,5 @@
 package digital
 
-import "fmt"
-
-// ToTwosComplement encodes a signed value in an n-bit two's-complement
-// word, reporting overflow when the value does not fit.
-func ToTwosComplement(value, bits int) (word int, err error) {
-	min := -(1 << (bits - 1))
-	max := 1<<(bits-1) - 1
-	if value < min || value > max {
-		return 0, fmt.Errorf("digital: %d does not fit in %d-bit two's complement", value, bits)
-	}
-	return value & (1<<bits - 1), nil
-}
-
 // FromTwosComplement decodes an n-bit two's-complement word to a signed
 // value.
 func FromTwosComplement(word, bits int) int {
@@ -53,19 +40,6 @@ func Add(a, b, bits int, carryIn bool) AddResult {
 	return AddResult{Sum: sum, CarryOut: carryOut, Overflow: overflow}
 }
 
-// Sub computes a-b in n bits via two's complement (a + ~b + 1).
-func Sub(a, b, bits int) AddResult {
-	mask := 1<<bits - 1
-	return Add(a, ^b&mask, bits, true)
-}
-
-// FullAdderOutputs returns (sum, carry) of a one-bit full adder.
-func FullAdderOutputs(a, b, cin bool) (sum, carry bool) {
-	sum = a != b != cin
-	carry = a && b || cin && (a != b)
-	return sum, carry
-}
-
 // BitString renders the low n bits of a word, MSB first.
 func BitString(word, bits int) string {
 	out := make([]byte, bits)
@@ -79,48 +53,5 @@ func BitString(word, bits int) string {
 	return string(out)
 }
 
-// ParseBits parses an MSB-first bit string to a word.
-func ParseBits(s string) (int, error) {
-	v := 0
-	for _, r := range s {
-		switch r {
-		case '0':
-			v <<= 1
-		case '1':
-			v = v<<1 | 1
-		case ' ', '_':
-			// grouping allowed
-		default:
-			return 0, fmt.Errorf("digital: bad bit %q in %q", r, s)
-		}
-	}
-	return v, nil
-}
-
 // GrayEncode converts binary to Gray code.
 func GrayEncode(v int) int { return v ^ v>>1 }
-
-// GrayDecode converts Gray code back to binary.
-func GrayDecode(g int) int {
-	v := 0
-	for g != 0 {
-		v ^= g
-		g >>= 1
-	}
-	return v
-}
-
-// Parity returns the even-parity bit of the low n bits of word (1 when
-// the count of ones is odd, making the total even).
-func Parity(word, bits int) int {
-	p := 0
-	for i := 0; i < bits; i++ {
-		p ^= word >> i & 1
-	}
-	return p
-}
-
-// SignExtend widens an n-bit two's-complement word to m bits.
-func SignExtend(word, fromBits, toBits int) int {
-	return FromTwosComplement(word, fromBits) & (1<<toBits - 1)
-}

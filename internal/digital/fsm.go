@@ -65,56 +65,6 @@ func NextState(kind FlipFlopKind, q, a, b bool) (bool, error) {
 	}
 }
 
-// CharacteristicEquation returns the textbook characteristic equation of
-// the flip-flop kind, with Q the present state.
-func CharacteristicEquation(kind FlipFlopKind) string {
-	switch kind {
-	case FFD:
-		return "Q+ = D"
-	case FFT:
-		return "Q+ = T^Q"
-	case FFSR:
-		return "Q+ = S + R'Q"
-	case FFJK:
-		return "Q+ = JQ' + K'Q"
-	default:
-		return ""
-	}
-}
-
-// Excitation returns the required excitation inputs (a, b) to move a
-// flip-flop from state q to state qn. For D and T, b is always false and
-// unused. For SR and JK, don't-care positions are resolved to false (the
-// minimal-drive convention used when deriving excitation tables).
-func Excitation(kind FlipFlopKind, q, qn bool) (a, b bool) {
-	switch kind {
-	case FFD:
-		return qn, false
-	case FFT:
-		return q != qn, false
-	case FFSR:
-		switch {
-		case !q && qn:
-			return true, false // set
-		case q && !qn:
-			return false, true // reset
-		default:
-			return false, false // hold
-		}
-	case FFJK:
-		switch {
-		case !q && qn:
-			return true, false // J=1, K=x -> 0
-		case q && !qn:
-			return false, true // J=x -> 0, K=1
-		default:
-			return false, false
-		}
-	default:
-		return false, false
-	}
-}
-
 // Counter simulates an n-bit synchronous counter built from T flip-flops
 // with the standard carry chain (bit i toggles when all lower bits are 1),
 // returning the state sequence for the requested number of clock cycles

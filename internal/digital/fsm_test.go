@@ -2,7 +2,6 @@ package digital
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestNextStateTables(t *testing.T) {
@@ -55,28 +54,6 @@ func TestNextStateTables(t *testing.T) {
 			if got != r.want {
 				t.Errorf("%s q=%v a=%v b=%v = %v, want %v", kind, r.q, r.a, r.b, got, r.want)
 			}
-		}
-	}
-}
-
-func TestQuickExcitationInverse(t *testing.T) {
-	// Property: applying the excitation derived for (q -> qn) actually
-	// moves the flip-flop from q to qn, for every kind.
-	f := func(kindRaw uint8, q, qn bool) bool {
-		kind := FlipFlopKind(kindRaw % 4)
-		a, b := Excitation(kind, q, qn)
-		got, err := NextState(kind, q, a, b)
-		return err == nil && got == qn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCharacteristicEquations(t *testing.T) {
-	for _, kind := range []FlipFlopKind{FFD, FFT, FFSR, FFJK} {
-		if CharacteristicEquation(kind) == "" {
-			t.Errorf("no characteristic equation for %s", kind)
 		}
 	}
 }

@@ -77,18 +77,15 @@ func (g *Gate) Eval(in []bool) bool {
 	}
 }
 
-// Netlist is a combinational circuit plus optional D flip-flops. Nets are
-// named; primary inputs are nets no gate drives.
+// Netlist is a combinational circuit. Nets are named; primary inputs
+// are nets no gate drives.
 type Netlist struct {
 	Gates []*Gate
-	// DFFs maps flop output net -> D input net; flops break combinational
-	// cycles and are stepped by Clock.
-	DFFs map[string]string
 }
 
 // NewNetlist returns an empty netlist.
 func NewNetlist() *Netlist {
-	return &Netlist{DFFs: make(map[string]string)}
+	return &Netlist{}
 }
 
 // AddGate appends a gate and returns the netlist for chaining.
@@ -97,20 +94,11 @@ func (n *Netlist) AddGate(kind GateKind, name, output string, inputs ...string) 
 	return n
 }
 
-// AddDFF registers a D flip-flop with output q fed by net d.
-func (n *Netlist) AddDFF(q, d string) *Netlist {
-	n.DFFs[q] = d
-	return n
-}
-
-// PrimaryInputs lists nets that no gate or flop drives, sorted.
+// PrimaryInputs lists nets that no gate drives, sorted.
 func (n *Netlist) PrimaryInputs() []string {
 	driven := make(map[string]bool)
 	for _, g := range n.Gates {
 		driven[g.Output] = true
-	}
-	for q := range n.DFFs {
-		driven[q] = true
 	}
 	seen := make(map[string]bool)
 	var ins []string
@@ -122,30 +110,20 @@ func (n *Netlist) PrimaryInputs() []string {
 			}
 		}
 	}
-	for _, d := range n.DFFs {
-		if !driven[d] && !seen[d] {
-			seen[d] = true
-			ins = append(ins, d)
-		}
-	}
 	sort.Strings(ins)
 	return ins
 }
 
-// Eval settles the combinational logic for the given primary-input and
-// flop-state values, returning every net's value. It iterates to a fixed
+// Eval settles the combinational logic for the given primary-input
+// values, returning every net's value. It iterates to a fixed
 // point in topological fashion and reports an error on combinational
 // cycles.
-func (n *Netlist) Eval(inputs map[string]bool, state map[string]bool) (map[string]bool, error) {
-	values := make(map[string]bool, len(inputs)+len(state)+len(n.Gates))
+func (n *Netlist) Eval(inputs map[string]bool) (map[string]bool, error) {
+	values := make(map[string]bool, len(inputs)+len(n.Gates))
 	known := make(map[string]bool, len(values))
 	for k, v := range inputs {
 		values[k] = v
 		known[k] = true
-	}
-	for q := range n.DFFs {
-		values[q] = state[q]
-		known[q] = true
 	}
 	remaining := make([]*Gate, len(n.Gates))
 	copy(remaining, n.Gates)
@@ -178,22 +156,8 @@ func (n *Netlist) Eval(inputs map[string]bool, state map[string]bool) (map[strin
 	return values, nil
 }
 
-// Clock settles the logic then advances every flip-flop, returning the
-// next flop state.
-func (n *Netlist) Clock(inputs, state map[string]bool) (map[string]bool, error) {
-	values, err := n.Eval(inputs, state)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[string]bool, len(n.DFFs))
-	for q, d := range n.DFFs {
-		next[q] = values[d]
-	}
-	return next, nil
-}
-
-// Depth returns the longest gate chain from any primary input or flop
-// output to net target — the unit-delay critical path length.
+// Depth returns the longest gate chain from any primary input to net
+// target — the unit-delay critical path length.
 func (n *Netlist) Depth(target string) (int, error) {
 	byOutput := make(map[string]*Gate, len(n.Gates))
 	for _, g := range n.Gates {
@@ -234,9 +198,6 @@ func (n *Netlist) Depth(target string) (int, error) {
 // TruthTable exhaustively simulates a purely combinational netlist and
 // returns the truth table of the target net over the primary inputs.
 func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
-	if len(n.DFFs) > 0 {
-		return nil, fmt.Errorf("digital: truth table requires a combinational netlist")
-	}
 	ins := n.PrimaryInputs()
 	if len(ins) > 16 {
 		return nil, fmt.Errorf("digital: too many inputs (%d) for exhaustive simulation", len(ins))
@@ -247,7 +208,7 @@ func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
 		for i, v := range ins {
 			assign[v] = m&(1<<(len(ins)-1-i)) != 0
 		}
-		values, err := n.Eval(assign, nil)
+		values, err := n.Eval(assign)
 		if err != nil {
 			return nil, err
 		}

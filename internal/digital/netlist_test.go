@@ -1,6 +1,7 @@
 package digital
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -43,7 +44,7 @@ func TestHalfAdderTruthTable(t *testing.T) {
 		{true, false, true, false},
 		{true, true, false, true},
 	} {
-		v, err := n.Eval(map[string]bool{"A": c.a, "B": c.b}, nil)
+		v, err := n.Eval(map[string]bool{"A": c.a, "B": c.b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +58,11 @@ func TestFullAdderMatchesArithmetic(t *testing.T) {
 	n := fullAdderNetlist()
 	for m := 0; m < 8; m++ {
 		a, b, cin := m&4 != 0, m&2 != 0, m&1 != 0
-		v, err := n.Eval(map[string]bool{"A": a, "B": b, "Cin": cin}, nil)
+		v, err := n.Eval(map[string]bool{"A": a, "B": b, "Cin": cin})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSum, wantCarry := FullAdderOutputs(a, b, cin)
+		wantSum, wantCarry := fullAdder(a, b, cin)
 		if v["S"] != wantSum || v["Cout"] != wantCarry {
 			t.Errorf("full adder %v %v %v: got S=%v C=%v want S=%v C=%v",
 				a, b, cin, v["S"], v["Cout"], wantSum, wantCarry)
@@ -78,8 +79,8 @@ func TestNetlistTruthTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := NewTruthTable(MustParse("AB + C"), []string{"A", "B", "C"})
-	if !tt.Equal(want) {
-		t.Errorf("netlist truth table disagrees with AB + C:\n%s", tt.Format("F"))
+	if !reflect.DeepEqual(tt, want) {
+		t.Errorf("netlist truth table %+v disagrees with AB + C", tt)
 	}
 }
 
@@ -104,35 +105,11 @@ func TestNetlistCycleDetection(t *testing.T) {
 	n := NewNetlist().
 		AddGate(GateAnd, "G1", "x", "y", "A").
 		AddGate(GateOr, "G2", "y", "x", "B")
-	if _, err := n.Eval(map[string]bool{"A": true, "B": true}, nil); err == nil {
+	if _, err := n.Eval(map[string]bool{"A": true, "B": true}); err == nil {
 		t.Error("combinational cycle not detected by Eval")
 	}
 	if _, err := n.Depth("x"); err == nil {
 		t.Error("combinational cycle not detected by Depth")
-	}
-}
-
-func TestDFFCounter(t *testing.T) {
-	// A 1-bit toggle: q <- q' every clock, built from a NOT gate and a
-	// DFF.
-	n := NewNetlist().
-		AddGate(GateNot, "INV", "d", "q").
-		AddDFF("q", "d")
-	state := map[string]bool{"q": false}
-	seq := []bool{}
-	for i := 0; i < 4; i++ {
-		next, err := n.Clock(nil, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = append(seq, next["q"])
-		state = next
-	}
-	want := []bool{true, false, true, false}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("toggle sequence %v, want %v", seq, want)
-		}
 	}
 }
 
@@ -176,7 +153,7 @@ func TestQuickNandNandEquivalence(t *testing.T) {
 			return false
 		}
 		want := NewTruthTable(sop, tt.Vars)
-		return tt.Equal(want)
+		return reflect.DeepEqual(tt, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -185,14 +162,7 @@ func TestQuickNandNandEquivalence(t *testing.T) {
 
 func TestTruthTableFormat(t *testing.T) {
 	tt := FromMinterms([]string{"A", "B"}, []int{1, 2})
-	s := tt.Format("F")
-	if s == "" {
-		t.Fatal("empty format")
-	}
 	if got := tt.Minterms(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("minterms %v", got)
-	}
-	if got := tt.Maxterms(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("maxterms %v", got)
 	}
 }

@@ -58,11 +58,6 @@ func Minimize(vars []string, minterms, dontCares []int) Expr {
 	return &Or{Xs: terms}
 }
 
-// MinimizeString is Minimize returning the rendered expression.
-func MinimizeString(vars []string, minterms, dontCares []int) string {
-	return Minimize(vars, minterms, dontCares).String()
-}
-
 func primeImplicants(careSet map[int]bool, n int) []implicant {
 	current := make([]implicant, 0, len(careSet))
 	for m := range careSet {
@@ -221,16 +216,4 @@ func popcount(v int) int {
 		c++
 	}
 	return c
-}
-
-// LiteralCount counts variable literals in a rendered SOP expression —
-// the cost metric minimisation questions compare.
-func LiteralCount(e Expr) int {
-	count := 0
-	for _, r := range e.String() {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {
-			count++
-		}
-	}
-	return count
 }

@@ -538,7 +538,7 @@ func expressionDistractors(seed string, vars []string, minterms []int, lhs strin
 // free, classifying F as "0", "1", "C" or "C'".
 func gateValueAnswer(n *Netlist, a, b bool) string {
 	eval := func(c bool) bool {
-		v, err := n.Eval(map[string]bool{"A": a, "B": b, "C": c}, nil)
+		v, err := n.Eval(map[string]bool{"A": a, "B": b, "C": c})
 		if err != nil {
 			panic(err)
 		}

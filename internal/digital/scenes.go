@@ -2,7 +2,6 @@ package digital
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/visual"
 )
@@ -33,20 +32,6 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 		s.Add(visual.Element{
 			Type: visual.ElemLabel, Name: "in-" + in, Label: in,
 			X: colX(0) - 30, Y: y - 6, Salience: 0.85,
-		})
-	}
-	// Flop outputs also act as sources.
-	var flopOuts []string
-	for q := range n.DFFs {
-		flopOuts = append(flopOuts, q)
-	}
-	sort.Strings(flopOuts)
-	for i, q := range flopOuts {
-		y := 80 + float64(len(ins)+i)*70
-		pos[q] = visual.Point{X: colX(0), Y: y}
-		s.Add(visual.Element{
-			Type: visual.ElemGate, Name: "ff-" + q, Label: "DFF",
-			X: colX(0) - 50, Y: y - 15, Critical: criticalNets[q],
 		})
 	}
 

@@ -1,9 +1,6 @@
 package digital
 
-import (
-	"fmt"
-	"strings"
-)
+import ()
 
 // TruthTable is a complete truth table over an ordered variable list.
 // Row m assigns variable i the bit (m >> (n-1-i)) & 1, the textbook
@@ -51,17 +48,6 @@ func (t *TruthTable) Minterms() []int {
 	return out
 }
 
-// Maxterms returns the sorted indices of false rows.
-func (t *TruthTable) Maxterms() []int {
-	var out []int
-	for m, v := range t.Out {
-		if !v {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Row returns the input bits of row m in variable order.
 func (t *TruthTable) Row(m int) []bool {
 	n := len(t.Vars)
@@ -70,41 +56,6 @@ func (t *TruthTable) Row(m int) []bool {
 		bits[i] = m&(1<<(n-1-i)) != 0
 	}
 	return bits
-}
-
-// Format renders the table as aligned text, one row per line, the way a
-// textbook prints it.
-func (t *TruthTable) Format(outName string) string {
-	var sb strings.Builder
-	for _, v := range t.Vars {
-		sb.WriteString(fmt.Sprintf("%3s", v))
-	}
-	sb.WriteString(fmt.Sprintf(" |%3s\n", outName))
-	for m := range t.Out {
-		for _, b := range t.Row(m) {
-			sb.WriteString(fmt.Sprintf("%3d", boolBit(b)))
-		}
-		sb.WriteString(fmt.Sprintf(" |%3d\n", boolBit(t.Out[m])))
-	}
-	return sb.String()
-}
-
-// Equal reports whether two tables have identical variables and outputs.
-func (t *TruthTable) Equal(o *TruthTable) bool {
-	if len(t.Vars) != len(o.Vars) || len(t.Out) != len(o.Out) {
-		return false
-	}
-	for i := range t.Vars {
-		if t.Vars[i] != o.Vars[i] {
-			return false
-		}
-	}
-	for i := range t.Out {
-		if t.Out[i] != o.Out[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func boolBit(b bool) int {

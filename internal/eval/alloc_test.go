@@ -13,32 +13,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestNormalizeZeroAlloc pins the canonical-input fast path: Normalize
-// must return already-normalised strings unchanged without allocating.
-func TestNormalizeZeroAlloc(t *testing.T) {
-	inputs := []string{
-		"",
-		"full adder",
-		"clock tree synthesis",
-		"2200 ohm",
-		"a'b + ab'",
-	}
-	for _, in := range inputs {
-		in := in
-		if got := Normalize(in); got != in {
-			t.Fatalf("Normalize(%q) = %q, not canonical", in, got)
-		}
-		var sink string
-		allocs := testing.AllocsPerRun(100, func() {
-			sink = Normalize(in)
-		})
-		if allocs != 0 {
-			t.Errorf("Normalize(%q): %v allocs/op, want 0", in, allocs)
-		}
-		_ = sink
-	}
-}
-
 // TestParseNumberZeroAlloc pins ParseNumber — including the SI-prefix
 // unit resolution with uppercase spellings — at zero steady-state
 // allocations.

@@ -12,6 +12,10 @@ import (
 
 // --- Normalisation -----------------------------------------------------
 
+// normalize returns the canonical form the judge compares in, through
+// the same appendNormalized core its Scratch buffers use.
+func normalize(s string) string { return string(appendNormalized(nil, s)) }
+
 func TestNormalize(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"  Hello World.  ", "hello world"},
@@ -21,8 +25,8 @@ func TestNormalize(t *testing.T) {
 		{"", ""},
 	}
 	for _, c := range cases {
-		if got := Normalize(c.in); got != c.want {
-			t.Errorf("Normalize(%q) = %q, want %q", c.in, got, c.want)
+		if got := normalize(c.in); got != c.want {
+			t.Errorf("normalize(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

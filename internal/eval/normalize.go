@@ -12,63 +12,11 @@ import (
 	"unicode/utf8"
 )
 
-// Normalize lowercases, trims and collapses whitespace and strips
-// surrounding punctuation — the canonical form short answers are
-// compared in. Already-canonical input is returned unchanged without
-// allocating, the common case for golden answers normalised at build
-// time and for re-normalising a previous Normalize result.
-//
-//hot:normalize per-event judge path (DESIGN.md §12); canonical inputs must not allocate
-func Normalize(s string) string {
-	if isNormalized(s) {
-		return s
-	}
-	return string(appendNormalized(nil, s))
-}
-
-// isNormalized reports whether Normalize(s) == s, using a conservative
-// single-pass ASCII check: any non-ASCII byte sends the string to the
-// slow path (Unicode lowering and space folding can change bytes in
-// ways a scan without allocation cannot cheaply rule out).
-//
-//hot:normalize fast-path gate for Normalize
-func isNormalized(s string) bool {
-	if len(s) == 0 {
-		return true
-	}
-	if s[0] == ' ' || s[len(s)-1] == ' ' {
-		return false
-	}
-	prevSpace := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= utf8.RuneSelf:
-			return false
-		case c == ' ':
-			if prevSpace {
-				return false
-			}
-			prevSpace = true
-		case c >= 'A' && c <= 'Z':
-			return false
-		case c == '.' || c == ',' || c == '!' || c == '"':
-			return false
-		case c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
-			return false
-		default:
-			prevSpace = false
-		}
-	}
-	return true
-}
-
-// appendNormalized appends the canonical form of s to dst and returns
-// the extended slice — the allocation-free core behind Normalize and
-// the judge's Scratch buffers. The transform matches the historical
-// Builder loop byte for byte: lowercase, collapse runs of Unicode
-// whitespace to one ' ', drop `.` `,` `!` `"` (without interrupting a
-// whitespace run), trim both ends.
+// appendNormalized appends the canonical form of s — the form short
+// answers are compared in — to dst and returns the extended slice. It
+// is the allocation-free core behind the judge's Scratch buffers:
+// lowercase, collapse runs of Unicode whitespace to one ' ', drop `.`
+// `,` `!` `"` (without interrupting a whitespace run), trim both ends.
 //
 //hot:normalize every judged response flows through here
 func appendNormalized(dst []byte, s string) []byte {

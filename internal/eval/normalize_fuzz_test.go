@@ -39,7 +39,7 @@ func FuzzParseNumber(f *testing.F) {
 	})
 }
 
-// FuzzNormalize checks Normalize is idempotent and produces the
+// FuzzNormalize checks normalisation is idempotent and produces the
 // canonical form: no uppercase ASCII, no dropped punctuation, no runs
 // of spaces, no leading/trailing space.
 func FuzzNormalize(f *testing.F) {
@@ -50,15 +50,15 @@ func FuzzNormalize(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		n := Normalize(s)
-		if again := Normalize(n); again != n {
-			t.Fatalf("Normalize not idempotent: %q -> %q -> %q", s, n, again)
+		n := normalize(s)
+		if again := normalize(n); again != n {
+			t.Fatalf("normalize not idempotent: %q -> %q -> %q", s, n, again)
 		}
 		if strings.ContainsAny(n, "ABCDEFGHIJKLMNOPQRSTUVWXYZ.,!\"") {
-			t.Fatalf("Normalize(%q) = %q kept case or dropped punctuation", s, n)
+			t.Fatalf("normalize(%q) = %q kept case or dropped punctuation", s, n)
 		}
 		if strings.Contains(n, "  ") || n != strings.TrimSpace(n) {
-			t.Fatalf("Normalize(%q) = %q has uncollapsed whitespace", s, n)
+			t.Fatalf("normalize(%q) = %q has uncollapsed whitespace", s, n)
 		}
 	})
 }

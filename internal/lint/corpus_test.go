@@ -112,17 +112,7 @@ func TestDirectiveCorpus(t *testing.T) { runCorpus(t, "directive", NoDeterm) }
 // analyzer. cmd/chipvqa-lint enforces the same property from the
 // command line; this keeps it enforced by `go test ./...` alone.
 func TestModuleIsLintClean(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; module discovery is broken", len(pkgs))
-	}
+	_, pkgs := loadModule(t)
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("module not lint-clean: %s", d)
 	}

@@ -61,12 +61,6 @@ func (f *Facts) MayBlock(fn *types.Func) (string, bool) {
 	return blockingRoot(fn)
 }
 
-// Spawns reports whether fn is a module-declared function whose body
-// spawns goroutines.
-func (f *Facts) Spawns(fn *types.Func) bool {
-	return f.Of(fn).Spawns
-}
-
 // ComputeFacts builds the module call graph and propagates may-block
 // facts bottom-up to a fixed point. Deterministic: nodes are visited
 // in (package, file, declaration) order and the worklist is FIFO.

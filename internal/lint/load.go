@@ -69,9 +69,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Root returns the absolute module root directory.
 func (l *Loader) Root() string { return l.root }
 

@@ -109,54 +109,3 @@ func LineInGrating(cd, pitch float64, n int) ([]MaskFeature, float64) {
 	}
 	return features, 0
 }
-
-// ProximityError returns printed-minus-drawn CD for the centre line of a
-// grating: the dense-vs-iso proximity effect RET questions reason about.
-func (a *AerialSimulator) ProximityError(cd, pitch float64, lines int) float64 {
-	features, x0 := LineInGrating(cd, pitch, lines)
-	return a.PrintedCD(features, x0) - cd
-}
-
-// ApplyBiasOPC finds the mask bias (added symmetrically to every line's
-// width) that makes the centre line print at the target CD, via
-// bisection over [-cd/2, +cd]. ok is false when no bias in range
-// achieves the target within the simulation grid (2 nm).
-func (a *AerialSimulator) ApplyBiasOPC(cd, pitch float64, lines int) (bias float64, ok bool) {
-	printAt := func(b float64) float64 {
-		features, x0 := LineInGrating(cd+b, pitch, lines)
-		return a.PrintedCD(features, x0)
-	}
-	lo, hi := -cd/2, cd
-	// Printed CD grows monotonically with bias.
-	if printAt(lo) > cd || printAt(hi) < cd {
-		return 0, false
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if printAt(mid) < cd {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	bias = (lo + hi) / 2
-	got := printAt(bias)
-	return bias, math.Abs(got-cd) <= 2
-}
-
-// ImageLogSlope returns the normalised image log slope (NILS) at the
-// nominal line edge — the standard lithographic-quality metric; higher
-// is better, and it collapses as pitch approaches the resolution limit.
-func (a *AerialSimulator) ImageLogSlope(cd, pitch float64, lines int) float64 {
-	features, x0 := LineInGrating(cd, pitch, lines)
-	edge := x0 + cd/2
-	const h = 0.5
-	i1 := a.Intensity(features, edge-h)
-	i2 := a.Intensity(features, edge+h)
-	mid := a.Intensity(features, edge)
-	if mid <= 0 {
-		return 0
-	}
-	slope := (i1 - i2) / (2 * h) / mid // d(ln I)/dx magnitude
-	return slope * cd
-}

@@ -11,12 +11,6 @@ type DiffusionStep struct {
 	TimeS float64
 }
 
-// DiffusionLength returns 2*sqrt(D*t) in cm, the characteristic depth
-// scale.
-func (s DiffusionStep) DiffusionLength() float64 {
-	return 2 * math.Sqrt(s.D*s.TimeS)
-}
-
 // ConstantSourceProfile returns the concentration at depth x (cm) for a
 // constant surface concentration Cs: C(x) = Cs * erfc(x / (2 sqrt(Dt))).
 func (s DiffusionStep) ConstantSourceProfile(cs, x float64) float64 {
@@ -28,16 +22,6 @@ func (s DiffusionStep) ConstantSourceProfile(cs, x float64) float64 {
 		return 0
 	}
 	return cs * math.Erfc(x/l)
-}
-
-// LimitedSourceProfile returns the Gaussian drive-in profile for a fixed
-// dose Q (atoms/cm^2): C(x) = Q/sqrt(pi D t) * exp(-x^2/(4 D t)).
-func (s DiffusionStep) LimitedSourceProfile(q, x float64) float64 {
-	dt := s.D * s.TimeS
-	if dt == 0 {
-		return 0
-	}
-	return q / math.Sqrt(math.Pi*dt) * math.Exp(-x*x/(4*dt))
 }
 
 // JunctionDepthConstantSource solves C(xj) = Cb for the constant-source
@@ -57,13 +41,6 @@ func (s DiffusionStep) JunctionDepthConstantSource(cs, cb float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// ArrheniusD returns D = D0 * exp(-Ea / (k*T)) with Ea in eV and T in
-// kelvin.
-func ArrheniusD(d0, eaEV, tempK float64) float64 {
-	const kBoltzmannEV = 8.617333262e-5
-	return d0 * math.Exp(-eaEV/(kBoltzmannEV*tempK))
 }
 
 // OxideGrowthDealGrove returns the oxide thickness (um) grown in time t
@@ -88,11 +65,4 @@ func SheetResistance(resistivity, thickness float64) float64 {
 		return math.Inf(1)
 	}
 	return resistivity / thickness
-}
-
-// IonImplantPeakDepth returns the projected range Rp for a simple
-// energy-scaled model: Rp = k * E (nm per keV), a first-order
-// approximation exercises use.
-func IonImplantPeakDepth(energyKeV, nmPerKeV float64) float64 {
-	return energyKeV * nmPerKeV
 }

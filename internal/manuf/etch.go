@@ -57,39 +57,8 @@ func (p EtchProcess) SubstrateLoss(overEtchMinutes float64) float64 {
 	return p.Rate / p.Selectivity * overEtchMinutes
 }
 
-// EtchBias returns the CD change of a line after an isotropic component
-// undercuts both edges.
-func (p EtchProcess) EtchBias(minutes float64) float64 {
-	return 2 * p.LateralEtch(minutes)
-}
-
 // String renders the process like a recipe line.
 func (p EtchProcess) String() string {
 	return fmt.Sprintf("%s: %.0f nm/min, selectivity %.0f:1, anisotropy %.1f",
 		p.Name, p.Rate, p.Selectivity, p.Anisotropy)
-}
-
-// FilmStack is a top-down list of film thicknesses (nm) to etch through.
-type FilmStack struct {
-	Layers []Film
-}
-
-// Film is one layer of a stack.
-type Film struct {
-	Material    string
-	ThicknessNM float64
-}
-
-// TotalEtchTime returns the minutes to clear the whole stack given a
-// per-material rate table; unknown materials yield an error.
-func (s FilmStack) TotalEtchTime(rates map[string]float64) (float64, error) {
-	total := 0.0
-	for _, f := range s.Layers {
-		r, ok := rates[f.Material]
-		if !ok || r <= 0 {
-			return 0, fmt.Errorf("manuf: no etch rate for %q", f.Material)
-		}
-		total += f.ThicknessNM / r
-	}
-	return total, nil
 }

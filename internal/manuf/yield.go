@@ -8,23 +8,6 @@ func PoissonYield(areaCM2, defectDensity float64) float64 {
 	return math.Exp(-areaCM2 * defectDensity)
 }
 
-// MurphyYield returns the die yield under Murphy's model:
-// Y = ((1 - exp(-A*D)) / (A*D))^2.
-func MurphyYield(areaCM2, defectDensity float64) float64 {
-	ad := areaCM2 * defectDensity
-	if ad == 0 {
-		return 1
-	}
-	f := (1 - math.Exp(-ad)) / ad
-	return f * f
-}
-
-// SeedsYield returns Y = 1/(1 + A*D), the Seeds (exponential defect
-// distribution) model.
-func SeedsYield(areaCM2, defectDensity float64) float64 {
-	return 1 / (1 + areaCM2*defectDensity)
-}
-
 // GrossDiePerWafer estimates the die count on a circular wafer with the
 // standard edge-corrected formula:
 // N = pi*(d/2)^2/A - pi*d/sqrt(2*A), with wafer diameter d (mm) and die
@@ -75,24 +58,6 @@ func (d DefectClass) String() string {
 		return "center spot"
 	default:
 		return "unknown"
-	}
-}
-
-// Signature describes how the class looks on a wafer map.
-func (d DefectClass) Signature() string {
-	switch d {
-	case DefectRandom:
-		return "failing dies scattered uniformly across the wafer"
-	case DefectCluster:
-		return "a tight blob of failing dies in one region"
-	case DefectScratch:
-		return "a thin straight or arc-shaped line of failing dies"
-	case DefectEdgeRing:
-		return "failing dies concentrated in an annulus at the wafer edge"
-	case DefectCenter:
-		return "failing dies concentrated at the wafer center"
-	default:
-		return ""
 	}
 }
 

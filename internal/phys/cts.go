@@ -1,19 +1,11 @@
 package phys
 
-import "math"
-
 // HTree models a symmetric H-tree clock distribution network over a
 // square die: levels alternate horizontal/vertical splits, and every
 // root-to-leaf path has identical length, giving zero structural skew.
 type HTree struct {
 	Levels  int
 	DieSize float64 // side length in um
-}
-
-// Sinks returns the number of leaf sinks (4^levels-ish; one H per two
-// levels, each H serving 4 quadrants).
-func (h HTree) Sinks() int {
-	return 1 << uint(h.Levels)
 }
 
 // WireLength returns the total wirelength of the H-tree: each level
@@ -25,19 +17,6 @@ func (h HTree) WireLength() float64 {
 	for l := 0; l < h.Levels; l++ {
 		total += float64(segs) * segLen
 		segs *= 2
-		if l%2 == 1 {
-			segLen /= 2
-		}
-	}
-	return total
-}
-
-// PathLength returns the root-to-sink path length, equal for all sinks.
-func (h HTree) PathLength() float64 {
-	total := 0.0
-	segLen := h.DieSize / 2
-	for l := 0; l < h.Levels; l++ {
-		total += segLen / 2
 		if l%2 == 1 {
 			segLen /= 2
 		}
@@ -100,22 +79,4 @@ func OptimalBufferCount(r, c, tb float64, maxK int) (int, float64) {
 		}
 	}
 	return bestK, bestD
-}
-
-// MeshVsTreeSkew contrasts clock mesh and tree skew: a mesh shorts sink
-// arrivals together, reducing skew by roughly the mesh smoothing factor.
-func MeshVsTreeSkew(treeSkew float64, smoothing float64) float64 {
-	if smoothing < 1 {
-		smoothing = 1
-	}
-	return treeSkew / smoothing
-}
-
-// FanoutOf4Delay returns the FO4-style stage delay scaling: base delay
-// times log4 of the fanout (>=1).
-func FanoutOf4Delay(base float64, fanout float64) float64 {
-	if fanout < 1 {
-		fanout = 1
-	}
-	return base * math.Log(fanout) / math.Log(4)
 }

@@ -92,13 +92,3 @@ func (g *Grid) RouteLength(src, dst Pt) (int, error) {
 	}
 	return len(p) - 1, nil
 }
-
-// Detour returns how much longer the routed path is than the
-// obstacle-free Manhattan distance.
-func (g *Grid) Detour(src, dst Pt) (int, error) {
-	l, err := g.RouteLength(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	return l - Manhattan(src, dst), nil
-}

@@ -89,6 +89,8 @@ func FuzzServeRequest(f *testing.F) {
 		{"DELETE", "/v1/runs/%00", ""},
 		{"PATCH", "/v1/questions", ""},
 		{"GET", "//v1//questions/../runs", ""},
+		{"POST", "/v1/runs", `{"models":["GPT4o"]} {"kind":"bogus"}`},
+		{"POST", "/v1/runs", `{"workers":1}garbage`},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1], s[2])

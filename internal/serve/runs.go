@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -104,6 +105,11 @@ func decodeRunSpec(w http.ResponseWriter, r *http.Request) (RunSpec, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("bad run spec: %v", err)
+	}
+	// The body is one JSON object: anything but whitespace after it
+	// (a second value, garbage) is rejected, not silently ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, fmt.Errorf("bad run spec: trailing data after the JSON object")
 	}
 	return spec, nil
 }

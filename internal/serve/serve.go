@@ -266,11 +266,13 @@ func (s *Server) Draining() bool { return s.reg.isDraining() }
 // force-cancelled; 0 means everything finished within the deadline.
 func (s *Server) Drain(ctx context.Context) int {
 	s.reg.beginDrain()
-	if s.reg.waitIdle(ctx) == nil {
+	if s.reg.waitIdle(ctx) {
 		return 0
 	}
 	forced := s.reg.cancelAll()
-	s.reg.waitIdleForever()
+	// cancelAll's ctx cancellations bound every run's remaining work, so
+	// this wait needs no deadline: it outlives ctx, which is done.
+	s.reg.waitIdle(context.WithoutCancel(ctx))
 	return forced
 }
 

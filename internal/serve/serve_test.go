@@ -412,6 +412,8 @@ func TestServeRunValidation(t *testing.T) {
 		`{"frobnicate":true}`,
 		`not json`,
 		``,
+		`{"models":["GPT4o"]} {"kind":"bogus"}`,
+		`{"workers":1}garbage`,
 	}
 	for _, spec := range bad {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(spec))

@@ -193,22 +193,6 @@ func (c *Canvas) bresenham(x0, y0, x1, y1 int, col color.RGBA) {
 	}
 }
 
-// ThickLine draws a line of the given pixel thickness.
-func (c *Canvas) ThickLine(x0, y0, x1, y1, thickness int, col color.RGBA) {
-	if thickness <= 1 {
-		c.Line(x0, y0, x1, y1, col)
-		return
-	}
-	// Offset perpendicular to the line direction.
-	ang := math.Atan2(float64(y1-y0), float64(x1-x0)) + math.Pi/2
-	for t := 0; t < thickness; t++ {
-		off := float64(t) - float64(thickness-1)/2
-		ox := int(math.Round(off * math.Cos(ang)))
-		oy := int(math.Round(off * math.Sin(ang)))
-		c.Line(x0+ox, y0+oy, x1+ox, y1+oy, col)
-	}
-}
-
 // Rect draws the outline of a rectangle.
 func (c *Canvas) Rect(x0, y0, x1, y1 int, col color.RGBA) {
 	x0, x1 = ordered(x0, x1)

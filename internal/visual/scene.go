@@ -65,16 +65,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind converts a Table I name back to a Kind.
-func ParseKind(s string) (Kind, error) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("visual: unknown kind %q", s)
-}
-
 // ElementType says what a scene element depicts. The renderer picks a
 // drawing routine from it and the perception simulator assigns a default
 // salience from it.

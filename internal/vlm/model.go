@@ -64,11 +64,9 @@ func (m *SimulatedVLM) Profile() Profile { return m.profile }
 func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 
 // Answer implements eval.Model: it runs the simulated Fig. 2 pipeline —
-// system/user prompt assembly, perception over the scene graph at the
-// requested resolution, then the calibrated solve stage — and emits the
-// model's textual response.
+// perception over the scene graph at the requested resolution, then the
+// calibrated solve stage — and emits the model's textual response.
 func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
-	_ = m.BuildPrompt(q) // prompt assembly, kept for parity with real serving
 	if !m.perceives(q, opts.DownsampleFactor) {
 		return m.perceptionFailureResponse(q)
 	}
@@ -85,18 +83,6 @@ func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) s
 	default:
 		return m.wrongShortAnswer(q)
 	}
-}
-
-// BuildPrompt assembles the text prompt as §IV describes: models without
-// system-prompt support get the instructions folded into the user turn.
-func (m *SimulatedVLM) BuildPrompt(q *dataset.Question) string {
-	system := "You are a chip design expert. Answer the question about the attached figure. " +
-		"For multiple choice respond with the option letter; for short answer respond concisely."
-	user := q.FormatPrompt()
-	if m.profile.SupportsSystemPrompt {
-		return "[system] " + system + "\n[user] " + user
-	}
-	return "[user] " + system + " " + user
 }
 
 // perceives runs the perception stage: at full resolution the scene

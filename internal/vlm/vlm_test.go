@@ -53,12 +53,6 @@ func TestProfilesSanity(t *testing.T) {
 	if proprietary != 1 {
 		t.Errorf("%d proprietary models, want 1 (GPT-4o)", proprietary)
 	}
-	if _, ok := ProfileByName("GPT4o"); !ok {
-		t.Error("GPT4o missing")
-	}
-	if _, ok := ProfileByName("nope"); ok {
-		t.Error("ghost profile found")
-	}
 }
 
 func TestLLaVAFamilyOrdered(t *testing.T) {
@@ -162,20 +156,6 @@ func TestZooDeterministic(t *testing.T) {
 		if a1 != a2 {
 			t.Fatalf("%s: answers differ between zoo builds: %q vs %q", q.ID, a1, a2)
 		}
-	}
-}
-
-func TestBuildPromptSystemSupport(t *testing.T) {
-	b, _, zoo := buildAll(t)
-	q := b.Questions[0]
-	withSys, _ := zoo.Model("GPT4o")
-	without, _ := zoo.Model("paligemma")
-	if p := withSys.BuildPrompt(q); p[:9] != "[system] " {
-		t.Errorf("system-prompt model prompt starts %q", p[:20])
-	}
-	// §IV: Paligemma folds the system prompt into the user turn.
-	if p := without.BuildPrompt(q); p[:7] != "[user] " {
-		t.Errorf("no-system-prompt model prompt starts %q", p[:20])
 	}
 }
 

@@ -23,4 +23,5 @@ echo "== go test -bench (one iteration each)"
 go test -run '^$' -bench=. -benchtime=1x ./...
 echo "== go test -race"
 go test -race ./...
+echo "== non-test Go LOC (information, not a gate): $(sh scripts/loc.sh)"
 echo "verify: all tier-1 gates passed"
