@@ -92,6 +92,46 @@ func BenchmarkTableIIParallel(b *testing.B) {
 	}
 }
 
+// E2f — the adaptive acceptance tournament (fold-j, seed "acceptance")
+// over a bank calibrated once outside the timer, at workers 1 and at
+// GOMAXPROCS. Every recorded event runs the posterior update under the
+// pipeline's delivery lock, so this is the case that shows whether that
+// lock is a bottleneck; each op checks the full-grid ranking is still
+// reproduced.
+func BenchmarkAdaptiveTournament(b *testing.B) {
+	suite := chipvqa.MustNewSuite()
+	cal, err := suite.AdaptiveCalibrate(context.Background(), "fold-j", 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var models []chipvqa.Model
+	for _, name := range suite.ModelNames() {
+		m, err := suite.Model(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	for _, workers := range []int{1, -1} {
+		name := "workers=1"
+		if workers < 0 {
+			name = "workers=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := eval.Runner{Workers: workers}
+			for i := 0; i < b.N; i++ {
+				res, err := cal.Run(context.Background(), r, models, chipvqa.AdaptiveConfig{Seed: "acceptance"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.RankAgreement != 1 {
+					b.Fatalf("rank agreement %v, want 1", res.RankAgreement)
+				}
+			}
+		})
+	}
+}
+
 // E2d — the full 12x142 (model, question) grid as one flattened task
 // list on the pooled engine: the shape TableII actually runs.
 func BenchmarkTableIIGrid(b *testing.B) {

@@ -115,27 +115,45 @@ func NewEstimator() *Estimator {
 	return e
 }
 
-// Observe folds one judged outcome into the posterior. The update is
+// Observe folds one judged outcome into the posterior: it builds the
+// item's log-likelihood row for that outcome and adds it, the one
+// update path the tournament's memoised rows also take. The update is
 // numerically hardened: the logistic exponent is clamped before
 // exponentiation and the log-likelihood terms are computed in log
 // space, so extreme or even non-finite item parameters can never
 // introduce a NaN or infinity into the posterior (FuzzObserve pins
 // this).
 func (e *Estimator) Observe(p ItemParams, correct bool) {
+	row := logLikelihood(p, correct)
+	e.add(&row)
+}
+
+// add folds a precomputed log-likelihood row into the posterior.
+func (e *Estimator) add(row *[gridN]float64) {
 	for k := range e.logpost {
-		z := clampZ(p.Disc * (gridTheta(k) - p.Diff))
-		if correct {
-			e.logpost[k] += logSigmoid(z)
-		} else {
-			e.logpost[k] += logSigmoid(-z)
-		}
+		e.logpost[k] += row[k]
 	}
+}
+
+// logLikelihood is the item's log-likelihood of the outcome at every
+// grid point: log P(correct | theta_k) under the 2PL model.
+func logLikelihood(p ItemParams, correct bool) (row [gridN]float64) {
+	for k := range row {
+		z := clampZ(p.Disc * (gridTheta(k) - p.Diff))
+		if !correct {
+			z = -z
+		}
+		row[k] = logSigmoid(z)
+	}
+	return row
 }
 
 // Estimate returns the posterior mean ability and its posterior
 // standard deviation. Both are always finite: the prior bounds the
 // posterior to the grid, and weights are renormalised against the
 // maximum log-posterior before exponentiation.
+//
+//hot:adaptive runs once per recorded tournament event, under the delivery lock
 func (e *Estimator) Estimate() (ability, se float64) {
 	maxLP := e.logpost[0]
 	for _, lp := range e.logpost[1:] {

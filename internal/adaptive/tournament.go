@@ -98,12 +98,15 @@ func (c Config) withDefaults(bankSize, nModels int) Config {
 
 // seat is one model's tournament state.
 type seat struct {
-	model  eval.Model
-	est    *Estimator
-	asked  []bool // by bank index
-	nAsked int
-	frozen bool
-	reason string
+	model eval.Model
+	est   *Estimator
+	// ability and se cache est.Estimate(); Record refreshes them each
+	// time it changes the posterior, and every other reader uses them.
+	ability, se float64
+	asked       []bool // by bank index
+	nAsked      int
+	frozen      bool
+	reason      string
 }
 
 // Tournament runs an adaptive evaluation over a calibrated item bank:
@@ -123,10 +126,15 @@ type seat struct {
 // function of (models, bank, Config) — workers 1 and workers 8 produce
 // the same transcript byte for byte.
 type Tournament struct {
-	mu          sync.Mutex
-	bank        []BankItem
-	itemIndex   map[string]int // QuestionID -> bank index
-	seatIndex   map[string]int // model name -> seat index
+	mu        sync.Mutex
+	bank      []BankItem
+	itemIndex map[string]int // QuestionID -> bank index
+	seatIndex map[string]int // model name -> seat index
+	keys      []uint64       // item selection tie-break key, by bank index
+	// lik memoises each observed item's log-likelihood rows (index 0: a
+	// wrong answer, 1: a right one), built the first time any model
+	// answers the item; nil until then.
+	lik         []*[2][gridN]float64
 	seats       []*seat
 	cfg         Config
 	ready       []eval.Event // issued, not yet claimed by a worker
@@ -148,6 +156,8 @@ func NewTournament(models []eval.Model, bank []BankItem, cfg Config) (*Tournamen
 		bank:      bank,
 		itemIndex: make(map[string]int, len(bank)),
 		seatIndex: make(map[string]int, len(models)),
+		keys:      make([]uint64, len(bank)),
+		lik:       make([]*[2][gridN]float64, len(bank)),
 		cfg:       cfg.withDefaults(len(bank), len(models)),
 	}
 	for i, it := range bank {
@@ -162,6 +172,9 @@ func NewTournament(models []eval.Model, bank []BankItem, cfg Config) (*Tournamen
 			return nil, fmt.Errorf("adaptive: duplicate bank question %q", it.Question.ID)
 		}
 		t.itemIndex[it.Question.ID] = i
+		// NewHasher is bit-compatible with rng.Seed but stays off the
+		// hash.Hash interface.
+		t.keys[i] = uint64(rng.NewHasher("adaptive-select", t.cfg.Seed, it.Params.QuestionID))
 	}
 	for _, m := range models {
 		name := m.Name()
@@ -169,11 +182,13 @@ func NewTournament(models []eval.Model, bank []BankItem, cfg Config) (*Tournamen
 			return nil, fmt.Errorf("adaptive: duplicate model %q", name)
 		}
 		t.seatIndex[name] = len(t.seats)
-		t.seats = append(t.seats, &seat{
+		s := &seat{
 			model: m,
 			est:   NewEstimator(),
 			asked: make([]bool, len(bank)),
-		})
+		}
+		s.ability, s.se = s.est.Estimate()
+		t.seats = append(t.seats, s)
 	}
 	for si := range t.seats {
 		t.issue(si)
@@ -206,6 +221,8 @@ func (t *Tournament) Next() (eval.Event, eval.ScheduleState) {
 // apply the stopping rules, and issue the model's next item when it
 // stays live. The pipeline calls this strictly in Seq order, so every
 // piece of tournament state evolves along the canonical event order.
+//
+//hot:adaptive runs under the pipeline's delivery lock, once per event
 func (t *Tournament) Record(ev *eval.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -219,18 +236,28 @@ func (t *Tournament) Record(ev *eval.Event) {
 	if !ok {
 		return
 	}
-	s.est.Observe(t.bank[bi].Params, ev.Correct)
-	ability, se := s.est.Estimate()
+	lik := t.lik[bi]
+	if lik == nil {
+		p := t.bank[bi].Params
+		lik = &[2][gridN]float64{logLikelihood(p, false), logLikelihood(p, true)}
+		t.lik[bi] = lik
+	}
+	if ev.Correct {
+		s.est.add(&lik[1])
+	} else {
+		s.est.add(&lik[0])
+	}
+	s.ability, s.se = s.est.Estimate()
 	ev.Adaptive = true
-	ev.Ability = ability
-	ev.AbilitySE = se
+	ev.Ability = s.ability
+	ev.AbilitySE = s.se
 	switch {
 	case s.nAsked >= len(t.bank):
 		t.freeze(s, "exhausted")
 	case s.nAsked >= t.cfg.MaxQuestions || t.issuedTotal >= t.cfg.TotalBudget:
 		t.freeze(s, "budget")
 	case s.nAsked < t.cfg.MinQuestions:
-	case se <= t.cfg.SEStop:
+	case s.se <= t.cfg.SEStop:
 		t.freeze(s, "precise")
 	case t.separated(si):
 		t.freeze(s, "separated")
@@ -267,8 +294,8 @@ func (t *Tournament) separated(si int) bool {
 }
 
 func (t *Tournament) interval(si int) (lo, hi float64) {
-	ability, se := t.seats[si].est.Estimate()
-	return ability - t.cfg.Z*se, ability + t.cfg.Z*se
+	s := t.seats[si]
+	return s.ability - t.cfg.Z*s.se, s.ability + t.cfg.Z*s.se
 }
 
 // issue selects the seat's next item — the unasked bank item with
@@ -283,7 +310,6 @@ func (t *Tournament) interval(si int) (lo, hi float64) {
 // slice... the §6 invariant for dynamic sources.
 func (t *Tournament) issue(si int) {
 	s := t.seats[si]
-	ability, _ := s.est.Estimate()
 	best := -1
 	var bestInfo float64
 	var bestKey uint64
@@ -291,13 +317,11 @@ func (t *Tournament) issue(si int) {
 		if s.asked[bi] {
 			continue
 		}
-		info := t.bank[bi].Params.Information(ability)
+		info := t.bank[bi].Params.Information(s.ability)
 		if best >= 0 && info < bestInfo {
 			continue
 		}
-		// NewHasher is bit-compatible with rng.Seed but stays off the
-		// hash.Hash interface, so selection cannot block under t.mu.
-		key := uint64(rng.NewHasher("adaptive-select", t.cfg.Seed, t.bank[bi].Params.QuestionID))
+		key := t.keys[bi]
 		switch {
 		case best < 0 || info > bestInfo:
 		case key < bestKey:
@@ -339,11 +363,10 @@ func (t *Tournament) Standings() []Standing {
 	defer t.mu.Unlock()
 	out := make([]Standing, len(t.seats))
 	for i, s := range t.seats {
-		ability, se := s.est.Estimate()
 		out[i] = Standing{
 			Model:      s.model.Name(),
-			Ability:    ability,
-			SE:         se,
+			Ability:    s.ability,
+			SE:         s.se,
 			Asked:      s.nAsked,
 			StopReason: s.reason,
 		}
@@ -365,7 +388,7 @@ func (t *Tournament) Abilities() []float64 {
 	defer t.mu.Unlock()
 	out := make([]float64, len(t.seats))
 	for i, s := range t.seats {
-		out[i], _ = s.est.Estimate()
+		out[i] = s.ability
 	}
 	return out
 }

@@ -85,10 +85,10 @@ func (a *Agent) Name() string {
 	return fmt.Sprintf("Agent(%s+%s)", a.DesignerName, a.Tool.Name())
 }
 
-// Answer implements eval.Model by running the designer-tool loop.
+// Answer implements eval.Model: the designer-tool loop's final answer,
+// without building the transcript Run returns.
 func (a *Agent) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
-	answer, _ := a.Run(q, opts)
-	return answer
+	return a.decide(q, opts, a.faithful(q))
 }
 
 // Run executes the interaction loop and returns the final answer plus
@@ -98,7 +98,7 @@ func (a *Agent) Run(q *dataset.Question, opts eval.InferenceOptions) (string, []
 	var transcript []ToolCall
 
 	// Round 1: the designer always asks for an overall description.
-	faithful := rng.Bernoulli(a.fidelity(q), "agent", q.ID, "describe", fmt.Sprint(q.Type))
+	faithful := a.faithful(q)
 	desc := a.describe(q, 0.8)
 	transcript = append(transcript, ToolCall{
 		Request:  "Describe the figure attached to this question.",
@@ -118,6 +118,19 @@ func (a *Agent) Run(q *dataset.Question, opts eval.InferenceOptions) (string, []
 		transcript = append(transcript, ToolCall{Request: req, Response: resp})
 	}
 
+	return a.decide(q, opts, faithful), transcript
+}
+
+// faithful draws whether the tool's description of q preserves every
+// detail the question needs.
+func (a *Agent) faithful(q *dataset.Question) bool {
+	return rng.Bernoulli(a.fidelity(q), "agent", q.ID, "describe", q.Type.String())
+}
+
+// decide is the designer's final answer given whether the tool's
+// description was faithful. Every draw is keyed by the question, so the
+// answer is the same whether or not a transcript was built beside it.
+func (a *Agent) decide(q *dataset.Question, opts eval.InferenceOptions, faithful bool) string {
 	// The direct VLM's outcome on this question anchors the decision.
 	baseCorrect := eval.Judge{}.Correct(q, a.Tool.Answer(q, opts))
 
@@ -125,11 +138,11 @@ func (a *Agent) Run(q *dataset.Question, opts eval.InferenceOptions) (string, []
 	case baseCorrect && !faithful:
 		// The tool could have answered directly, but the designer only
 		// sees the lossy description and goes wrong.
-		return a.wrongAnswer(q), transcript
+		return a.wrongAnswer(q)
 	case baseCorrect:
-		return a.goldenAnswer(q), transcript
+		return a.goldenAnswer(q)
 	case !faithful:
-		return a.wrongAnswer(q), transcript
+		return a.wrongAnswer(q)
 	default:
 		// Faithful description of a question the direct VLM missed: the
 		// designer's stronger text-side reasoning sometimes recovers it —
@@ -138,16 +151,16 @@ func (a *Agent) Run(q *dataset.Question, opts eval.InferenceOptions) (string, []
 		// photograph-like figures through a text relay does not recover
 		// questions the VLM itself could not do.
 		if a.fidelity(q) < 0.9 {
-			return a.wrongAnswer(q), transcript
+			return a.wrongAnswer(q)
 		}
 		boost := a.Cfg.DesignerBoostSA
 		if q.Type == dataset.MultipleChoice {
 			boost = a.Cfg.DesignerBoostMC
 		}
-		if rng.Bernoulli(boost, "agent", q.ID, "boost", fmt.Sprint(q.Type)) {
-			return a.goldenAnswer(q), transcript
+		if rng.Bernoulli(boost, "agent", q.ID, "boost", q.Type.String()) {
+			return a.goldenAnswer(q)
 		}
-		return a.wrongAnswer(q), transcript
+		return a.wrongAnswer(q)
 	}
 }
 

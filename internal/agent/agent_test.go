@@ -143,3 +143,17 @@ func evaluate(t testing.TB, r eval.Runner, m eval.Model, b *dataset.Benchmark) *
 	}
 	return rep
 }
+
+// TestAnswerMatchesRun: Answer skips the transcript but must give the
+// answer Run gives beside it, on both collections.
+func TestAnswerMatchesRun(t *testing.T) {
+	b, chal, ag, _ := setup(t)
+	for _, qs := range [][]*dataset.Question{b.Questions, chal.Questions} {
+		for _, q := range qs {
+			want, _ := ag.Run(q, eval.InferenceOptions{})
+			if got := ag.Answer(q, eval.InferenceOptions{}); got != want {
+				t.Fatalf("%s: Answer %q, Run %q", q.ID, got, want)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -79,5 +80,31 @@ func TestJudgeZeroAlloc(t *testing.T) {
 				t.Errorf("Judge.Correct(%s): %v allocs/op, want 0", c.name, allocs)
 			}
 		})
+	}
+}
+
+// discardSink consumes events without keeping them.
+type discardSink struct{}
+
+func (discardSink) Consume(Event) {}
+
+// TestDeliverZeroAlloc pins the reorder ring's steady state: once the
+// ring is allocated, parking and draining events — in order or one
+// step out of order — allocates nothing.
+func TestDeliverZeroAlloc(t *testing.T) {
+	d := newTestDelivery(discardSink{})
+	ctx := context.Background()
+	seq := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		d.deliver(ctx, Event{Seq: seq + 1})
+		d.deliver(ctx, Event{Seq: seq})
+		d.deliver(ctx, Event{Seq: seq + 2})
+		seq += 3
+	})
+	if allocs != 0 {
+		t.Errorf("deliver: %v allocs/op, want 0", allocs)
+	}
+	if d.next != seq {
+		t.Fatalf("delivered through Seq %d, want %d", d.next, seq)
 	}
 }

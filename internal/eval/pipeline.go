@@ -82,11 +82,11 @@ func (r Runner) run(ctx context.Context, sched ItemScheduler, snk sink) error {
 	}
 	gate := newSchedGate()
 	d := &delivery{
-		pending: make(map[int]Event),
-		sink:    snk,
-		obs:     r.Observer,
-		sched:   sched,
-		gate:    gate,
+		ring:  make([]slot, initialRing),
+		sink:  snk,
+		obs:   r.Observer,
+		sched: sched,
+		gate:  gate,
 	}
 	nw := r.EffectiveWorkers()
 	if s, ok := sched.(schedulerSize); ok && nw > s.SizeHint() {
@@ -144,17 +144,39 @@ func (r Runner) run(ctx context.Context, sched ItemScheduler, snk sink) error {
 // parks them until their Seq is next, and the contiguous prefix drains
 // under one mutex — which is what serialises Sink/Observer calls and
 // keeps them in canonical order for any worker count.
+//
+// Parked events live in a ring indexed by Seq: event s sits in slot
+// s & (len(ring)-1). Every parked Seq lies in the window
+// [next, next+len(ring)), so two parked events never share a slot; an
+// event landing beyond the window doubles the ring first. The ring is
+// allocated once per run and only grows, so steady-state delivery
+// allocates nothing.
 type delivery struct {
 	mu      sync.Mutex
-	next    int           // lowest Seq not yet emitted
-	pending map[int]Event // completed events waiting for their turn
-	stopped bool          // context cancelled; drop instead of emit
+	next    int    // lowest Seq not yet emitted
+	ring    []slot // completed events waiting for their turn; len is a power of two
+	stopped bool   // context cancelled; drop instead of emit
 	sink    sink
 	obs     Observer
 	sched   ItemScheduler
 	gate    *schedGate
 }
 
+// slot is one ring entry; full marks it occupied.
+type slot struct {
+	ev   Event
+	full bool
+}
+
+// initialRing is the ring's starting length, a power of two. One event
+// is parked at a time on a serial run; a parallel one parks about one
+// per worker and grows the ring past this only when a slow event holds
+// back many fast ones.
+const initialRing = 16
+
+// deliver parks ev and drains the contiguous prefix.
+//
+//hot:deliver runs once per event under the delivery lock
 func (d *delivery) deliver(ctx context.Context, ev Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -165,7 +187,11 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 	if d.stopped {
 		return
 	}
-	d.pending[ev.Seq] = ev
+	if ev.Seq-d.next >= len(d.ring) {
+		d.grow(ev.Seq)
+	}
+	mask := len(d.ring) - 1
+	d.ring[ev.Seq&mask] = slot{ev: ev, full: true}
 	for {
 		if ctx.Err() != nil {
 			// Stop emitting the moment cancellation is visible — even
@@ -175,21 +201,40 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 			d.stopped = true
 			return
 		}
-		nxt, ok := d.pending[d.next]
-		if !ok {
+		sl := &d.ring[d.next&mask]
+		if !sl.full {
 			return
 		}
-		delete(d.pending, d.next)
 		d.next++
 		// The scheduler hears the judged outcome first — in canonical
 		// Seq order — and may annotate the event (ability, stop reason)
-		// before the sink and observer see it.
-		d.sched.Record(&nxt)
+		// before the sink and observer see it. It annotates the parked
+		// copy, which already lives on the heap, so no per-event copy
+		// escapes.
+		d.sched.Record(&sl.ev)
+		nxt := sl.ev
+		*sl = slot{}
 		d.sink.Consume(nxt)
 		if d.obs != nil {
 			d.obs.Observe(nxt)
 		}
 	}
+}
+
+// grow doubles the ring until seq falls inside the window starting at
+// next, moving every parked event to its slot under the new length.
+func (d *delivery) grow(seq int) {
+	n := len(d.ring)
+	for seq-d.next >= n {
+		n *= 2
+	}
+	ring := make([]slot, n)
+	for _, sl := range d.ring {
+		if sl.full {
+			ring[sl.ev.Seq&(n-1)] = sl
+		}
+	}
+	d.ring = ring
 }
 
 // reportSink appends each event to its model's report. Events arrive

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -187,4 +188,69 @@ func TestEvaluateContextAlreadyCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: report %+v, want empty report for model m", workers, rep)
 		}
 	}
+}
+
+// seqSink records the Seq of every consumed event.
+type seqSink struct{ seqs []int }
+
+func (s *seqSink) Consume(ev Event) { s.seqs = append(s.seqs, ev.Seq) }
+
+func newTestDelivery(snk sink) *delivery {
+	return &delivery{
+		ring:  make([]slot, initialRing),
+		sink:  snk,
+		sched: &gridScheduler{},
+		gate:  newSchedGate(),
+	}
+}
+
+// TestDeliveryReorderGrowth drives the reorder ring through its growth
+// path: a window several times the initial ring arrives in reverse Seq
+// order, and then again from concurrent goroutines each delivering an
+// interleaved share backwards (run under -race). The sink must see every
+// Seq exactly once, in order, and nothing before Seq 0 arrives.
+func TestDeliveryReorderGrowth(t *testing.T) {
+	const n = 5*initialRing + 3
+	check := func(t *testing.T, got []int) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("sink saw %d events, want %d", len(got), n)
+		}
+		for i, s := range got {
+			if s != i {
+				t.Fatalf("sink event %d has Seq %d", i, s)
+			}
+		}
+	}
+	t.Run("reverse", func(t *testing.T) {
+		snk := &seqSink{}
+		d := newTestDelivery(snk)
+		for s := n - 1; s >= 0; s-- {
+			d.deliver(context.Background(), Event{Seq: s})
+			if s > 0 && len(snk.seqs) != 0 {
+				t.Fatalf("sink saw %v before Seq 0 arrived", snk.seqs)
+			}
+		}
+		check(t, snk.seqs)
+		if len(d.ring) < n {
+			t.Fatalf("ring length %d after a window of %d", len(d.ring), n)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		const workers = 4
+		snk := &seqSink{}
+		d := newTestDelivery(snk)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for s := n - 1 - w; s >= 0; s -= workers {
+					d.deliver(context.Background(), Event{Seq: s})
+				}
+			}()
+		}
+		wg.Wait()
+		check(t, snk.seqs)
+	})
 }

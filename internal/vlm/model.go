@@ -2,6 +2,7 @@ package vlm
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -108,7 +109,7 @@ func (m *SimulatedVLM) perceives(q *dataset.Question, factor int) bool {
 		if loss > 1 {
 			loss = 1
 		}
-		if rng.Bernoulli(1-loss, m.profile.Name, q.ID, "perc", e.Name, fmt.Sprint(factor)) {
+		if rng.Bernoulli(1-loss, m.profile.Name, q.ID, "perc", e.Name, strconv.Itoa(factor)) {
 			recovered++
 		}
 	}

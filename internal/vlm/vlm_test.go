@@ -2,7 +2,9 @@ package vlm
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -241,4 +243,20 @@ func evaluate(t testing.TB, r eval.Runner, m eval.Model, b *dataset.Benchmark) *
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// TestRngKeyFormsUnchanged: the per-event rng keys are built with
+// QType.String and strconv.Itoa rather than fmt.Sprint; both spell
+// every key the same, so every keyed draw is unchanged.
+func TestRngKeyFormsUnchanged(t *testing.T) {
+	for _, ty := range []dataset.QType{dataset.MultipleChoice, dataset.ShortAnswer} {
+		if a, b := fmt.Sprint(ty), ty.String(); a != b {
+			t.Errorf("QType %d: fmt.Sprint %q, String %q", int(ty), a, b)
+		}
+	}
+	for _, f := range []int{1, 2, 8, 16} {
+		if a, b := fmt.Sprint(f), strconv.Itoa(f); a != b {
+			t.Errorf("factor %d: fmt.Sprint %q, strconv.Itoa %q", f, a, b)
+		}
+	}
 }
